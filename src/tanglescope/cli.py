@@ -20,7 +20,7 @@ def _add_picture_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--n", type=int, default=1,
                         help="bit depth for PGM quantization (default 1)")
     parser.add_argument("--pixel-cap", type=int, default=DEFAULT_PIXEL_CAP,
-                        help="exact-mode pixel limit")
+                        help="pixel limit")
 
 
 def _load(args) -> WeightedCanvas:
@@ -30,7 +30,7 @@ def _load(args) -> WeightedCanvas:
 
 def cmd_analyze(args) -> int:
     wc = _load(args)
-    report, ok = analyze(wc, mode=args.mode, pixel_cap=args.pixel_cap)
+    report, ok = analyze(wc, pixel_cap=args.pixel_cap)
     text = encode_report(report)
     sys.stdout.write(text)
     if args.json:
@@ -78,7 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="full analysis, JSON report on stdout")
     _add_picture_args(p)
-    p.add_argument("--mode", choices=("exact", "connected"), default="exact")
     p.add_argument("--json", help="also write the report to this path")
     p.set_defaults(func=cmd_analyze)
 

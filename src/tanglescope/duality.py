@@ -7,7 +7,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .canvas import Canvas, Picture, WeightedCanvas
+from .canvas import DEFAULT_PIXEL_CAP, Canvas, Picture, WeightedCanvas
 from .profiles import Profile
 from .search import (SearchDefect, enumerate_fprime_orientations,
                      find_star_avoiding_orientation)
@@ -23,7 +23,6 @@ class StarSetF:
     elements and single pixels; co-trivial singletons are void 1-stars."""
 
     stratum: Stratum
-    kind: str = "standard"
 
     def __contains__(self, star) -> bool:
         sides = sorted(set(star))
@@ -77,17 +76,17 @@ def _assert_profile(chosen: frozenset[int], stratum: Stratum) -> None:
             raise SearchDefect("F-tangle search returned a non-profile")
 
 
-def find_f_tangle(stratum: Stratum, f: StarSetF | None = None) -> Profile | None:
+def find_f_tangle(stratum: Stratum) -> Profile | None:
     """An F-tangle of the stratum for the standard F, or None.
 
     Every hit is re-verified to be an unfocused profile before it is
     returned; a failure is an internal defect.
     """
-    if f is not None and f.kind != "standard":
-        raise NotImplementedError("only the standard star set is supported")
     chosen = find_star_avoiding_orientation(stratum)
     if chosen is None:
         return None
+    # this covers F-avoidance: single pixels fail as focused, and a void
+    # <=3-star of an orientation is {x, y, (x & y)*}, a profile violation
     _assert_profile(chosen, stratum)
     return Profile(stratum, chosen)
 
@@ -304,12 +303,11 @@ def induced_subcanvas(wc: WeightedCanvas, subset: int) -> WeightedCanvas:
 
 
 def max_supported_resolution(wc: WeightedCanvas, subset: int | None = None,
-                             pixel_cap: int | None = None) -> int:
+                             pixel_cap: int = DEFAULT_PIXEL_CAP) -> int:
     """The largest k admitting an unfocused k-profile, found via F-tangles."""
     if subset is not None:
         wc = induced_subcanvas(wc, subset)
-    kwargs = {} if pixel_cap is None else {"pixel_cap": pixel_cap}
-    pool = build_universe(wc, "exact", **kwargs)
+    pool = build_universe(wc, pixel_cap)
     best = 0
     for k in range(1, pool.max_order + 2):
         # existence is downward-closed in k (restrictions of unfocused

@@ -192,12 +192,10 @@ def equivalence_classes(pool: SeparationPool) -> list[tuple[Profile, ...]]:
     return classes
 
 
-def regions(wc: WeightedCanvas, pool: SeparationPool | None = None,
-            pixel_cap: int | None = None) -> tuple[Region, ...]:
+def regions(wc: WeightedCanvas, pool: SeparationPool | None = None) -> tuple[Region, ...]:
     """Discover all regions of the picture: unfocused equivalence classes."""
     if pool is None:
-        kwargs = {} if pixel_cap is None else {"pixel_cap": pixel_cap}
-        pool = build_universe(wc, "exact", **kwargs)
+        pool = build_universe(wc)
     out = [Region(chain) for chain in equivalence_classes(pool)
            if not any(is_focused(p) for p in chain)]
     return tuple(out)

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import json
 
-from .canvas import WeightedCanvas
+from .canvas import DEFAULT_PIXEL_CAP, WeightedCanvas
 from .duality import build_chop_tree, find_f_tangle, verify_chop_tree
 from .profiles import Profile, refines, regions, restrict
 from .sepsys import build_universe
@@ -33,11 +33,10 @@ def select_representatives(region_list) -> list[Profile]:
     return kept
 
 
-def analyze(wc: WeightedCanvas, mode: str = "exact",
-            pixel_cap: int | None = None) -> tuple[dict, bool]:
+def analyze(wc: WeightedCanvas,
+            pixel_cap: int = DEFAULT_PIXEL_CAP) -> tuple[dict, bool]:
     """Full analysis; returns (report, all verifications passed)."""
-    kwargs = {} if pixel_cap is None else {"pixel_cap": pixel_cap}
-    pool = build_universe(wc, mode, **kwargs)
+    pool = build_universe(wc, pixel_cap)
     region_list = regions(wc, pool=pool)
 
     reps = select_representatives(region_list)
@@ -57,17 +56,14 @@ def analyze(wc: WeightedCanvas, mode: str = "exact",
         tree_verified = {"laminar": True, "efficiency": True,
                          "minimality": True, "bijection": True}
 
-    resolution = 0
-    for k in range(1, pool.max_order + 2):
-        if find_f_tangle(pool.stratum(k)) is None:
-            break
-        resolution = k
-
+    # one sweep gives the verdicts and the resolution: F-tangle existence
+    # is downward-closed in k, so stop after the first k without one
     verdicts = []
+    resolution = 0
     duality_ok = True
-    for k in range(1, max(resolution + 1, 1) + 1):
-        tangle = find_f_tangle(pool.stratum(k))
+    for k in range(1, pool.max_order + 2):
         stratum = pool.stratum(k)
+        tangle = find_f_tangle(stratum)
         if len(stratum.pairs) <= CHOP_TREE_PAIR_LIMIT:
             chop = build_chop_tree(wc, k, pool)
             chop_found = chop is not None
@@ -86,6 +82,9 @@ def analyze(wc: WeightedCanvas, mode: str = "exact",
             "chop_tree_valid": chop_valid,
             "ok": ok,
         })
+        if tangle is None:
+            break
+        resolution = k
 
     region_entries = []
     for i, rho in enumerate(region_list):
@@ -106,7 +105,7 @@ def analyze(wc: WeightedCanvas, mode: str = "exact",
             "height": wc.canvas.height,
             "n": wc.picture.n,
             "N": wc.N,
-            "mode": mode,
+            "mode": "exact",
         },
         "max_order": pool.max_order,
         "regions": region_entries,

@@ -22,17 +22,15 @@ violating configuration is assigned: a violation always consists of sides
 x, y whose forced consequence contradicts a third assigned side, and the
 pairwise scan against all previously chosen sides runs on every
 assignment.  Leaves of the search are therefore exactly the orientations
-sought, with no post-filtering.
+sought, with no post-filtering.  This module holds no checkers of its own:
+`duality.find_f_tangle` re-verifies every F-tangle hit, and the test suite
+compares all three modes against brute-force oracles.
 """
 from __future__ import annotations
 
 import sys
 
-import numpy as np
-
 from .sepsys import Stratum
-
-_VECTOR_THRESHOLD = 400
 
 _MODES = ("profile", "fprime", "ftangle")
 
@@ -161,83 +159,6 @@ class _AssignmentSearch:
         return results
 
 
-def _member_lookup(arr: np.ndarray, full: int) -> np.ndarray:
-    lookup = np.zeros(full + 1, dtype=bool)
-    lookup[arr] = True
-    return lookup
-
-
-# -- independent orientation checkers (used as oracles, not by the engine) ----
-
-
-def violates_profile_condition(chosen: frozenset[int], full: int) -> bool:
-    """True iff some chosen x, y have the inverse of their join chosen."""
-    members = list(chosen)
-    if len(members) <= _VECTOR_THRESHOLD:
-        for i, x in enumerate(members):
-            for y in members[i:]:
-                if (x & y) ^ full in chosen:
-                    return True
-        return False
-    arr = np.array(members, dtype=np.uint64)
-    lookup = _member_lookup(arr, full)
-    fullv = np.uint64(full)
-    for x in arr:
-        if lookup[(x & arr) ^ fullv].any():
-            return True
-    return False
-
-
-def violates_fprime(chosen: frozenset[int], full: int) -> bool:
-    """True iff some star subset consists of x, y and the inverse of their
-    join — co-pointing x, y (union everything) with comp(x & y) chosen."""
-    members = list(chosen)
-    if len(members) <= _VECTOR_THRESHOLD:
-        for i, x in enumerate(members):
-            for y in members[i:]:
-                if x | y == full and (x & y) ^ full in chosen:
-                    return True
-        return False
-    arr = np.array(members, dtype=np.uint64)
-    lookup = _member_lookup(arr, full)
-    fullv = np.uint64(full)
-    for x in arr:
-        pointing = (x | arr) == fullv
-        z = ((x & arr) ^ fullv)[pointing]
-        if z.size and lookup[z].any():
-            return True
-    return False
-
-
-def violates_star_avoidance(chosen: frozenset[int], full: int) -> bool:
-    """True iff the orientation contains a single pixel or a void star with
-    at most three elements."""
-    if any(_popcount(m) == 1 for m in chosen):
-        return True
-    # void 2-stars need complementary members and void 1-stars the empty
-    # side; neither occurs in an orientation, leaving void 3-stars: two
-    # members x, y with disjoint inverses plus the union of those inverses
-    # (the unique choice of third member z with x & y & z empty that still
-    # points toward both)
-    members = [m for m in chosen if m != full]
-    if len(members) <= _VECTOR_THRESHOLD:
-        for i, x in enumerate(members):
-            a = x ^ full
-            for y in members[i + 1:]:
-                b = y ^ full
-                if a & b == 0 and (a | b) in chosen:
-                    return True
-        return False
-    comp = np.array(members, dtype=np.uint64) ^ np.uint64(full)
-    lookup = _member_lookup(np.array(members, dtype=np.uint64), full)
-    for a in comp:
-        disjoint = (a & comp) == 0
-        u = (a | comp)[disjoint]
-        if u.size and lookup[u].any():
-            return True
-    return False
-
-
 # -- public entry points ------------------------------------------------------
 
 
@@ -273,8 +194,4 @@ def find_star_avoiding_orientation(stratum: Stratum) -> frozenset[int] | None:
         # with p in m then closes the void 3-star {m, {p}*, (m minus p)*}
         return None
     hits = _AssignmentSearch(stratum, "ftangle").run(find_one=True)
-    if not hits:
-        return None
-    if violates_star_avoidance(hits[0], stratum.full_mask):
-        raise SearchDefect("F-tangle search returned a star-containing orientation")
-    return hits[0]
+    return hits[0] if hits else None

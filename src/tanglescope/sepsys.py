@@ -19,55 +19,31 @@ class UniverseMismatchError(ValueError):
 
 
 class SeparationPool:
-    """Candidate pool of oriented separations with cached orders.
+    """Every oriented separation of a weighted canvas: all subsets of the
+    pixel set, with orders read from the canvas's order table."""
 
-    Exact mode holds every subset of the pixel set; connected mode is a
-    labelled heuristic restricted to sides whose both halves induce
-    4-connected subgraphs (plus the degenerate pair).
-    """
-
-    def __init__(self, wc: WeightedCanvas, mode: str, sides: "np.ndarray | None",
-                 orders_by_side: dict[int, int] | None):
+    def __init__(self, wc: WeightedCanvas):
         self.wc = wc
-        self.mode = mode
-        self.npixels = wc.npixels
         self.full_mask = wc.full_mask
-        self._sides = sides              # exact mode: None (implicit 0..2^n-1)
-        self._orders_by_side = orders_by_side
         self._profile_cache: dict[int, tuple] = {}
 
     # -- membership / orders -------------------------------------------------
 
     def __contains__(self, side: int) -> bool:
-        if self.mode == "exact":
-            return 0 <= side <= self.full_mask
-        return side in self._orders_by_side
+        return 0 <= side <= self.full_mask
 
     def order_of(self, side: int) -> int:
-        if self.mode == "exact":
-            return int(self.wc.all_orders()[side])
-        return self._orders_by_side[side]
+        return int(self.wc.all_orders()[side])
 
     def sides(self):
-        if self.mode == "exact":
-            return range(self.full_mask + 1)
-        return iter(self._ordered_sides)
+        return range(self.full_mask + 1)
 
     def __len__(self) -> int:
-        if self.mode == "exact":
-            return self.full_mask + 1
-        return len(self._orders_by_side)
-
-    @cached_property
-    def _ordered_sides(self):
-        assert self.mode == "connected"
-        return sorted(self._orders_by_side, key=lambda s: (self._orders_by_side[s], s))
+        return self.full_mask + 1
 
     @cached_property
     def max_order(self) -> int:
-        if self.mode == "exact":
-            return int(self.wc.all_orders().max())
-        return max(self._orders_by_side.values())
+        return int(self.wc.all_orders().max())
 
     def sep(self, side: int) -> "OrientedSep":
         if side not in self:
@@ -83,24 +59,13 @@ class SeparationPool:
     def stratum(self, k: int) -> "Stratum":
         if k < 1:
             raise ValueError("stratum index k must be at least 1")
-        if self.mode == "exact":
-            orders = self.wc.all_orders()
-            members = np.nonzero(orders < k)[0]
-            pairs = sorted(
-                int(s) for s in members
-                if not s & 1 and 0 < s < self.full_mask
-                and orders[int(s) ^ self.full_mask] < k
-            )
-            # exact pools are complement-closed, so the second check is
-            # redundant there but keeps this correct for trimmed pools
-            member_set = frozenset(int(s) for s in members)
-        else:
-            member_set = frozenset(s for s, o in self._orders_by_side.items() if o < k)
-            pairs = sorted(s for s in member_set
-                           if not s & 1 and 0 < s < self.full_mask
-                           and (s ^ self.full_mask) in member_set)
-        pairs.sort(key=lambda s: (self.order_of(s), s))
-        return Stratum(self, k, tuple(pairs), member_set)
+        orders = self.wc.all_orders()
+        members = np.nonzero(orders < k)[0]
+        # a side and its complement share a boundary, hence an order, so
+        # the canonical sides below k are exactly the stratum's pairs
+        canon = members[(members & 1 == 0) & (members > 0) & (members < self.full_mask)]
+        canon = canon[np.lexsort((canon, orders[canon]))]
+        return Stratum(self, k, tuple(canon.tolist()), frozenset(members.tolist()))
 
 
 @dataclass(frozen=True)
@@ -123,78 +88,13 @@ class Stratum:
         return side in self.members
 
 
-def build_universe(wc: WeightedCanvas, mode: str = "exact",
-                   max_order: int | None = None,
+def build_universe(wc: WeightedCanvas,
                    pixel_cap: int = DEFAULT_PIXEL_CAP) -> SeparationPool:
-    """Materialize the candidate pool of oriented separations."""
-    if mode == "exact":
-        cap = min(pixel_cap, HARD_PIXEL_CAP)
-        if wc.npixels > cap:
-            raise CanvasSizeError(
-                f"{wc.npixels} pixels exceeds the exact-mode pixel cap {cap}"
-            )
-        if max_order is None:
-            return SeparationPool(wc, "exact", None, None)
-        orders = wc.all_orders()
-        keep = {int(s): int(orders[s]) for s in np.nonzero(orders <= max_order)[0]}
-        keep[0] = int(orders[0])
-        keep[wc.full_mask] = int(orders[wc.full_mask])
-        return SeparationPool(wc, "connected", None, keep)
-    if mode != "connected":
-        raise ValueError(f"unknown pool mode {mode!r}")
-    sides = _connected_coconnected_sides(wc)
-    orders = {s: wc.order(s) for s in sides}
-    if max_order is not None:
-        orders = {s: o for s, o in orders.items()
-                  if o <= max_order or s in (0, wc.full_mask)}
-    return SeparationPool(wc, "connected", None, orders)
-
-
-def _connected_coconnected_sides(wc: WeightedCanvas) -> set[int]:
-    """All sides whose both halves are 4-connected, plus the degenerate pair."""
-    canvas = wc.canvas
-    n = canvas.npixels
-    neighbours = [0] * n
-    for p, q in canvas.edges:
-        neighbours[p] |= 1 << q
-        neighbours[q] |= 1 << p
-
-    def is_connected(mask: int) -> bool:
-        if mask == 0:
-            return True
-        seed = mask & -mask
-        seen = seed
-        frontier = seed
-        while frontier:
-            grow = 0
-            m = frontier
-            while m:
-                b = m & -m
-                m ^= b
-                grow |= neighbours[b.bit_length() - 1]
-            frontier = grow & mask & ~seen
-            seen |= frontier
-        return seen == mask
-
-    out = {0, canvas.full_mask}
-    # grow connected subsets from each root, extending only by higher pixel
-    # ids reachable from the current set, so each subset is found once
-    def grow(root: int, mask: int, ext: int):
-        comp = mask ^ canvas.full_mask
-        if is_connected(comp):
-            out.add(mask)
-            out.add(comp)
-        while ext:
-            b = ext & -ext
-            ext ^= b
-            p = b.bit_length() - 1
-            new_ext = ext | (neighbours[p] & ~mask & ~((1 << (root + 1)) - 1) & ~ext)
-            grow(root, mask | b, new_ext & ~(mask | b))
-    for root in range(n):
-        seed = 1 << root
-        ext = neighbours[root] & ~((1 << (root + 1)) - 1)
-        grow(root, seed, ext)
-    return out
+    """The pool of all oriented separations, refused above the pixel cap."""
+    cap = min(pixel_cap, HARD_PIXEL_CAP)
+    if wc.npixels > cap:
+        raise CanvasSizeError(f"{wc.npixels} pixels exceeds the pixel cap {cap}")
+    return SeparationPool(wc)
 
 
 # -- oriented separations and their algebra ----------------------------------

@@ -17,7 +17,7 @@ def wc_mono():
 
 @pytest.fixture(scope="session")
 def pool_mono(wc_mono):
-    return build_universe(wc_mono, "exact")
+    return build_universe(wc_mono)
 
 
 @pytest.fixture(scope="session")
@@ -27,7 +27,7 @@ def wc_quad():
 
 @pytest.fixture(scope="session")
 def pool_quad(wc_quad):
-    return build_universe(wc_quad, "exact")
+    return build_universe(wc_quad)
 
 
 @pytest.fixture(scope="session")
@@ -37,4 +37,4 @@ def wc_minil():
 
 @pytest.fixture(scope="session")
 def pool_minil(wc_minil):
-    return build_universe(wc_minil, "exact", pixel_cap=25)
+    return build_universe(wc_minil, pixel_cap=25)

@@ -2,9 +2,9 @@ from __future__ import annotations
 
 import pytest
 
-from corpus import one_pixel, picture, weighted
+from corpus import TWELVE_PIXEL_PICTURES, one_pixel, picture, weighted
 from oracles import naive_fprime_stars, naive_tangles
-from tanglescope import (build_chop_tree, build_universe, enumerate_profiles,
+from tanglescope import (analyze, build_chop_tree, build_universe, enumerate_profiles,
                          find_f_tangle, is_focused, is_profile,
                          max_supported_resolution, standard_F,
                          verify_chop_tree, verify_duality)
@@ -53,15 +53,21 @@ def test_find_f_tangle_one_pixel():
         assert find_f_tangle(pool.stratum(k)) is None
 
 
-def test_f_tangle_matches_naive_oracle(pool_mono):
-    for k in range(1, pool_mono.max_order + 2):
-        stratum = pool_mono.stratum(k)
-        if len(stratum.pairs) > 12:
-            continue
-        stars = standard_F(stratum).enumerate()
-        naive = [o for o in naive_tangles(stratum, stars)
-                 if all(s.bit_count() != 1 for s in o)]
-        assert (find_f_tangle(stratum) is not None) == bool(naive)
+def test_f_tangle_matches_naive_oracle():
+    # the hit must be one of the oracle's unfocused F-tangles, so
+    # F-avoidance is checked against the definition, not only existence
+    for name in sorted(TWELVE_PIXEL_PICTURES):
+        pool = build_universe(weighted(TWELVE_PIXEL_PICTURES[name]))
+        for k in range(1, pool.max_order + 2):
+            stratum = pool.stratum(k)
+            if len(stratum.pairs) > 12:
+                continue
+            stars = standard_F(stratum).enumerate()
+            naive = [o for o in naive_tangles(stratum, stars)
+                     if all(s.bit_count() != 1 for s in o)]
+            hit = find_f_tangle(stratum)
+            assert (hit is not None) == bool(naive)
+            assert hit is None or hit.chosen in naive
 
 
 def test_fprime_matches_naive_oracle(pool_mono):
@@ -72,6 +78,18 @@ def test_fprime_matches_naive_oracle(pool_mono):
         stars = naive_fprime_stars(stratum)
         got = [t.chosen for t in enumerate_f_prime_tangles(stratum)]
         assert got == naive_tangles(stratum, stars)
+
+
+@pytest.mark.parametrize("name", sorted(TWELVE_PIXEL_PICTURES) + ["quad4x4"])
+def test_analyze_sweep_matches_max_supported_resolution(name):
+    wc = (fixture_canvas(name) if name == "quad4x4"
+          else weighted(TWELVE_PIXEL_PICTURES[name]))
+    duality = analyze(wc)[0]["duality"]
+    r = duality["max_supported_resolution"]
+    assert r == max_supported_resolution(wc)
+    verdicts = duality["verdicts"]
+    assert [v["k"] for v in verdicts] == list(range(1, r + 2))
+    assert [v["f_tangle"] for v in verdicts] == [v["k"] <= r for v in verdicts]
 
 
 def test_chop_tree_mono(wc_mono, pool_mono):

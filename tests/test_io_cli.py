@@ -224,12 +224,3 @@ def test_cli_fixture_deterministic(tmp_path):
     fa = (a / "noisedisc4x4.grid").read_bytes()
     assert fa == (b / "noisedisc4x4.grid").read_bytes()
     assert b"lcg" in fa
-
-
-def test_cli_analyze_connected_mode(tmp_path, capsys):
-    main(["fixtures", "mono2x2", "-o", str(tmp_path)])
-    capsys.readouterr()
-    grid = str(tmp_path / "mono2x2.grid")
-    assert main(["analyze", grid, "--mode", "connected"]) == 0
-    report = decode_report(capsys.readouterr().out)
-    assert report["picture"]["mode"] == "connected"

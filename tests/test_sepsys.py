@@ -130,17 +130,6 @@ def test_strata(pool_mono):
         pool_mono.stratum(0)
 
 
-def test_connected_mode(wc_quad):
-    pool = build_universe(wc_quad, "connected")
-    # strict subset of the exact pool, closed under complement
-    assert 0 in pool and wc_quad.full_mask in pool
-    assert len(pool) < 1 << 16
-    for s in pool.sides():
-        assert (s ^ wc_quad.full_mask) in pool
-    # a disconnected side is excluded: two opposite corners
-    assert (1 | 1 << 15) not in pool
-
-
 @settings(deadline=None, max_examples=300)
 @given(st.integers(0, 255), st.integers(0, 255))
 def test_nested_sides_orientation_free(x, y):
