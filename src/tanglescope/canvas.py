@@ -12,7 +12,7 @@ import numpy as np
 DEFAULT_PIXEL_CAP = 20
 HARD_PIXEL_CAP = 32
 
-_ORDER_CHUNK = 1 << 22
+_ORDER_LIMIT = (1 << 32) - 1   # orders are stored as uint32
 
 
 class CanvasSizeError(ValueError):
@@ -139,6 +139,10 @@ class WeightedCanvas:
             N = lo
         if N < lo:
             raise PictureError(f"offset N={N} is below the maximum edge weight {lo}")
+        total = sum(N - d for d in delta)
+        if total > _ORDER_LIMIT:
+            raise PictureError(f"offset N={N} makes the total edge weight {total} "
+                               f"exceed the order limit {_ORDER_LIMIT}")
         return WeightedCanvas(picture, delta, N)
 
     @property
@@ -162,25 +166,43 @@ class WeightedCanvas:
         return total
 
     def all_orders(self) -> np.ndarray:
-        """Orders of every subset of the pixel set, indexed by bitmask."""
+        """Orders of every subset of the pixel set, indexed by bitmask.
+
+        Built by doubling over pixels.  For A inside the first p pixels,
+        adding pixel p turns every edge at p into a boundary edge except
+        those to a lower neighbour q in A, which stop being one:
+        order(A | p) = order(A) + gain[p] - 2 * sum(w over lower q in A),
+        where gain[p] is the sum of N - delta over the edges at p.  So the
+        upper half orders[2^p : 2^(p+1)] is the lower half plus gain[p],
+        then minus 2w on the entries with bit q set, for each lower
+        neighbour q, all in place.
+
+        The subtractions cannot underflow: each partial result is at least
+        the final order(A | p), which is >= 0.  An addition can pass 2^32
+        on the way, but uint32 arithmetic is modulo 2^32 and every final
+        order is at most the total edge weight, which `from_picture` keeps
+        below 2^32, so each entry ends exact.
+        """
         cached = self._order_cache.get("orders")
         if cached is not None:
             return cached
-        size = 1 << self.npixels
-        orders = np.zeros(size, dtype=np.uint32)
-        weights = [(p, q, self.N - d) for (p, q), d in zip(self.canvas.edges, self.delta)]
-        pixels = sorted({p for p, q, w in weights if w} | {q for p, q, w in weights if w})
-        for start in range(0, size, _ORDER_CHUNK):
-            stop = min(start + _ORDER_CHUNK, size)
-            masks = np.arange(start, stop, dtype=np.uint64)
-            bits = {p: ((masks >> np.uint64(p)) & np.uint64(1)).astype(np.uint16)
-                    for p in pixels}
-            acc = np.zeros(stop - start, dtype=np.uint16)
-            for p, q, w in weights:
-                if w == 1:
-                    acc += bits[p] ^ bits[q]
-                elif w:
-                    acc += (bits[p] ^ bits[q]) * np.uint16(w)
-            orders[start:stop] = acc
+        n = self.npixels
+        gain = [0] * n
+        lower: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        for (a, b), d in zip(self.canvas.edges, self.delta):
+            w = self.N - d
+            if w:
+                p, q = max(a, b), min(a, b)
+                gain[p] += w
+                gain[q] += w
+                # 2w can pass 2^32; its residue is the same step modulo 2^32
+                lower[p].append((q, 2 * w & _ORDER_LIMIT))
+        orders = np.zeros(1 << n, dtype=np.uint32)
+        for p in range(n):
+            half = 1 << p
+            upper = orders[half:2 * half]
+            np.add(orders[:half], np.uint32(gain[p]), out=upper)
+            for q, w2 in lower[p]:
+                upper.reshape(-1, 2, 1 << q)[:, 1, :] -= np.uint32(w2)
         self._order_cache["orders"] = orders
         return orders

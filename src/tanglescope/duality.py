@@ -27,7 +27,7 @@ class StarSetF:
     def __contains__(self, star) -> bool:
         sides = sorted(set(star))
         full = self.stratum.full_mask
-        if any(s not in self.stratum.members for s in sides):
+        if any(s not in self.stratum for s in sides):
             return False
         for i, x in enumerate(sides):
             for y in sides[i + 1:]:
@@ -144,7 +144,7 @@ def build_chop_tree(wc: WeightedCanvas, k: int,
         pool = build_universe(wc)
     full = pool.full_mask
     stratum = pool.stratum(k)
-    sides = sorted((s for s in stratum.members if 0 < s < full),
+    sides = sorted(stratum.pairs + tuple(c ^ full for c in stratum.pairs),
                    key=lambda s: (stratum.order_of(s), s))
     side_set = set(sides)
     memo: dict[int, ChopNode | None] = {}

@@ -76,7 +76,7 @@ def restrict(p: Profile, ell: int) -> Profile:
     if ell > p.k:
         raise ValueError(f"cannot restrict a {p.k}-profile upward to {ell}")
     sub = p.pool.stratum(ell)
-    return Profile(sub, frozenset(s for s in p.chosen if s in sub.members))
+    return Profile(sub, frozenset(s for s in p.chosen if s in sub))
 
 
 def induces(p: Profile, q: Profile) -> bool:

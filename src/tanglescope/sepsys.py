@@ -26,6 +26,7 @@ class SeparationPool:
         self.wc = wc
         self.full_mask = wc.full_mask
         self._profile_cache: dict[int, tuple] = {}
+        self._strata: dict[int, Stratum] = {}
 
     # -- membership / orders -------------------------------------------------
 
@@ -59,23 +60,35 @@ class SeparationPool:
     def stratum(self, k: int) -> "Stratum":
         if k < 1:
             raise ValueError("stratum index k must be at least 1")
-        orders = self.wc.all_orders()
-        members = np.nonzero(orders < k)[0]
-        # a side and its complement share a boundary, hence an order, so
-        # the canonical sides below k are exactly the stratum's pairs
-        canon = members[(members & 1 == 0) & (members > 0) & (members < self.full_mask)]
-        canon = canon[np.lexsort((canon, orders[canon]))]
-        return Stratum(self, k, tuple(canon.tolist()), frozenset(members.tolist()))
+        cached = self._strata.get(k)
+        if cached is None:
+            # a side and its complement share a boundary, hence an order, so
+            # the pairs are the even (pixel-0-free) sides below k, without
+            # side 0: it has order 0 < k and so is always the first index
+            even = self.wc.all_orders()[0::2]
+            canon = np.nonzero(even < k)[0][1:]
+            canon = canon[np.argsort(even[canon], kind="stable")]
+            cached = self._strata[k] = Stratum(self, k, tuple((2 * canon).tolist()))
+        return cached
 
 
 @dataclass(frozen=True)
 class Stratum:
-    """All oriented separations of order below k, closed under inversion."""
+    """All oriented separations of order below k, closed under inversion.
+
+    A pool builds one Stratum per k and memoises it.  `pairs` holds the
+    canonical side of every line, sorted by (order, side); `members`, both
+    sides of every pair plus 0 and the full side, is derived from `pairs`
+    on first use."""
 
     pool: SeparationPool
     k: int
     pairs: tuple[int, ...]           # canonical side (pixel 0 outside) per line
-    members: frozenset[int]
+
+    @cached_property
+    def members(self) -> frozenset[int]:
+        full = self.full_mask
+        return frozenset(self.pairs) | {c ^ full for c in self.pairs} | {0, full}
 
     @property
     def full_mask(self) -> int:

@@ -2,13 +2,18 @@
 
 Alongside the built-in fixtures this adds a ladder of small pictures so
 that exhaustive oracles stay cheap: several at or below 9 pixels, one at
-12 pixels, and a seeded 20-pixel picture for randomized checks.
+12 pixels, and a seeded 20-pixel picture for randomized checks.  The
+Hypothesis strategy `random_weighted` draws small random weighted canvases
+for differential tests.
 """
 from __future__ import annotations
 
 from itertools import product
 
-from tanglescope import WeightedCanvas, attach_picture, build_grid_canvas, fixture
+from hypothesis import strategies as st
+
+from tanglescope import (WeightedCanvas, attach_picture, build_grid_canvas, fixture,
+                         suggest_N)
 
 _LCG_MULT = 1103515245
 _LCG_INC = 12345
@@ -82,3 +87,17 @@ LARGE_PICTURES = {
 
 def weighted(builder) -> WeightedCanvas:
     return WeightedCanvas.from_picture(builder())
+
+
+@st.composite
+def random_weighted(draw, max_pixels: int = 12, max_extra_N: int = 2) -> WeightedCanvas:
+    """A random w x h picture of at most max_pixels pixels with 1 or 2 bits
+    per pixel, weighted with an offset N between the maximum edge weight
+    and max_extra_N above it."""
+    width = draw(st.integers(1, max_pixels))
+    height = draw(st.integers(1, max_pixels // width))
+    n = draw(st.integers(1, 2))
+    values = draw(st.lists(st.integers(0, (1 << n) - 1),
+                           min_size=width * height, max_size=width * height))
+    pic = picture(width, height, values, n=n)
+    return WeightedCanvas.from_picture(pic, suggest_N(pic) + draw(st.integers(0, max_extra_N)))

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import SMALL_PICTURES, lshape3x3, one_pixel, rand4x5, weighted, white2x2
+from corpus import (SMALL_PICTURES, lshape3x3, one_pixel, picture, rand4x5,
+                    random_weighted, weighted, white2x2)
 from tanglescope import (CanvasSizeError, PictureError, WeightedCanvas,
                          attach_picture, boundary, build_grid_canvas,
                          edge_weight, fixture, suggest_N)
+from tanglescope.duality import induced_subcanvas
 
 
 def test_grid_shapes():
@@ -108,12 +110,62 @@ def test_n_below_max_delta_rejected():
         WeightedCanvas.from_picture(fixture("mono2x2"), 0)
 
 
+def _assert_table_matches_order(wc):
+    table = wc.all_orders()
+    assert table.shape == (wc.full_mask + 1,)
+    for a in range(wc.full_mask + 1):
+        assert int(table[a]) == wc.order(a)
+
+
 def test_all_orders_matches_scalar_order():
-    for builder in (lshape3x3, white2x2):
-        wc = weighted(builder)
-        table = wc.all_orders()
-        for a in range(wc.full_mask + 1):
-            assert int(table[a]) == wc.order(a)
+    for builder in (lshape3x3, white2x2, one_pixel):
+        _assert_table_matches_order(weighted(builder))
+
+
+@settings(deadline=None, max_examples=40)
+@given(random_weighted(max_extra_N=10**6))
+def test_all_orders_matches_scalar_order_random(wc):
+    _assert_table_matches_order(wc)
+
+
+@st.composite
+def _subcanvases(draw):
+    """A random picture and a random nonempty pixel subset of it: either any
+    subset (often disconnected) or one grown along grid edges (connected)."""
+    wc = draw(random_weighted(max_extra_N=1000))
+    if draw(st.booleans()):
+        return wc, draw(st.integers(1, wc.full_mask))
+    subset = 1 << draw(st.integers(0, wc.npixels - 1))
+    for pick in draw(st.lists(st.integers(0, 4 * wc.npixels), max_size=wc.npixels)):
+        frontier = sorted({q for a, b in wc.canvas.edges for p, q in ((a, b), (b, a))
+                           if subset >> p & 1 and not subset >> q & 1})
+        if frontier:
+            subset |= 1 << frontier[pick % len(frontier)]
+    return wc, subset
+
+
+@settings(deadline=None, max_examples=40)
+@given(_subcanvases())
+def test_all_orders_matches_scalar_order_on_subcanvases(case):
+    wc, subset = case
+    sub = induced_subcanvas(wc, subset)
+    assert sub.npixels == subset.bit_count()
+    _assert_table_matches_order(sub)
+
+
+def test_all_orders_large_offset():
+    # orders above 2^16 must not wrap
+    wc = WeightedCanvas.from_picture(fixture("mono2x2"), 40000)
+    assert wc.order(0b0001) == 79998
+    _assert_table_matches_order(wc)
+    assert int(wc.all_orders().max()) == max(wc.order(a) for a in range(16))
+    # the largest total edge weight that fits in uint32 is still exact
+    two = WeightedCanvas.from_picture(picture(2, 1, [0, 0]), (1 << 32) - 1)
+    assert two.all_orders().tolist() == [0, (1 << 32) - 1, (1 << 32) - 1, 0]
+    with pytest.raises(PictureError):
+        WeightedCanvas.from_picture(fixture("mono2x2"), 1 << 32)
+    with pytest.raises(PictureError):
+        WeightedCanvas.from_picture(picture(2, 1, [0, 0]), 1 << 32)
 
 
 @pytest.mark.parametrize("name", sorted(SMALL_PICTURES))

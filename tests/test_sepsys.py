@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import one_pixel, weighted
+from corpus import one_pixel, random_weighted, weighted
 from tanglescope import (UniverseMismatchError, build_universe, classify,
                          inverse, is_consistent, is_nested, is_star, is_void,
                          join, leq, meet)
@@ -128,6 +128,21 @@ def test_strata(pool_mono):
         prev = members
     with pytest.raises(ValueError):
         pool_mono.stratum(0)
+
+
+@settings(deadline=None, max_examples=30)
+@given(random_weighted())
+def test_strata_match_table_scan(wc):
+    pool = build_universe(wc)
+    full = pool.full_mask
+    orders = wc.all_orders().tolist()
+    for k in range(1, pool.max_order + 2):
+        stratum = pool.stratum(k)
+        pairs = sorted((s for s in range(2, full, 2) if orders[s] < k),
+                       key=lambda s: (orders[s], s))
+        assert stratum.pairs == tuple(pairs)
+        assert stratum.members == {s for s in range(full + 1) if orders[s] < k}
+        assert pool.stratum(k) is stratum
 
 
 @settings(deadline=None, max_examples=300)
