@@ -40,11 +40,6 @@ class Canvas:
     def full_mask(self) -> int:
         return (1 << self.npixels) - 1
 
-    def pixel_id(self, row: int, col: int) -> int:
-        if not (0 <= row < self.height and 0 <= col < self.width):
-            raise IndexError(f"pixel ({row},{col}) outside {self.width}x{self.height} canvas")
-        return row * self.width + col
-
 
 def build_grid_canvas(width: int, height: int, pixel_cap: int = DEFAULT_PIXEL_CAP) -> Canvas:
     """Build the grid canvas with horizontal and vertical neighbour edges.

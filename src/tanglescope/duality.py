@@ -5,16 +5,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-import numpy as np
-
 from .canvas import DEFAULT_PIXEL_CAP, Canvas, Picture, WeightedCanvas
-from .profiles import Profile
+from .profiles import Profile, is_focused, is_profile
 from .search import (SearchDefect, enumerate_fprime_orientations,
                      find_star_avoiding_orientation)
-from .sepsys import SeparationPool, Stratum, build_universe
-from .treeset import Line, line_of
+from .sepsys import (SeparationPool, Stratum, build_universe, nested_sides,
+                     star_sides, void_sides)
 
 _ENUMERATE_LIMIT = 400
+
+# chop-tree searches are quadratic in the stratum size; above this many
+# pairs a duality report records the tree side as not attempted
+CHOP_TREE_PAIR_LIMIT = 40000
 
 
 @dataclass(frozen=True)
@@ -25,22 +27,13 @@ class StarSetF:
     stratum: Stratum
 
     def __contains__(self, star) -> bool:
-        sides = sorted(set(star))
+        sides = set(star)
         full = self.stratum.full_mask
-        if any(s not in self.stratum for s in sides):
+        if any(s not in self.stratum for s in sides) or not star_sides(sides, full):
             return False
-        for i, x in enumerate(sides):
-            for y in sides[i + 1:]:
-                if x | y != full or x ^ y == full:
-                    return False  # not a star
-        if len(sides) == 1 and sides[0].bit_count() == 1:
+        if len(sides) == 1 and next(iter(sides)).bit_count() == 1:
             return True  # single pixel
-        if not sides:
-            return False
-        inter = full
-        for s in sides:
-            inter &= s
-        return inter == 0 and len(sides) <= 3
+        return len(sides) <= 3 and void_sides(sides, full)
 
     def enumerate(self) -> list[frozenset[int]]:
         """All member stars; only for small strata."""
@@ -59,23 +52,6 @@ def standard_F(stratum: Stratum) -> StarSetF:
     return StarSetF(stratum)
 
 
-def _assert_profile(chosen: frozenset[int], stratum: Stratum) -> None:
-    """Vectorized consistency + profile-condition + unfocus verification."""
-    full = stratum.full_mask
-    if any(s.bit_count() == 1 for s in chosen):
-        raise SearchDefect("F-tangle search returned a focused orientation")
-    arr = np.array(sorted(chosen), dtype=np.uint64)
-    fullv = np.uint64(full)
-    lookup = np.zeros(full + 1, dtype=bool)
-    lookup[arr] = True
-    for x in arr:
-        disjoint = (x & arr) == 0
-        if np.count_nonzero(disjoint) - int(x ^ full in chosen) > 0:
-            raise SearchDefect("F-tangle search returned an inconsistent orientation")
-        if lookup[(x & arr) ^ fullv].any():
-            raise SearchDefect("F-tangle search returned a non-profile")
-
-
 def find_f_tangle(stratum: Stratum) -> Profile | None:
     """An F-tangle of the stratum for the standard F, or None.
 
@@ -87,8 +63,12 @@ def find_f_tangle(stratum: Stratum) -> Profile | None:
         return None
     # this covers F-avoidance: single pixels fail as focused, and a void
     # <=3-star of an orientation is {x, y, (x & y)*}, a profile violation
-    _assert_profile(chosen, stratum)
-    return Profile(stratum, chosen)
+    hit = Profile(stratum, chosen)
+    if is_focused(hit):
+        raise SearchDefect("F-tangle search returned a focused orientation")
+    if not is_profile(hit):
+        raise SearchDefect("F-tangle search returned a non-profile")
+    return hit
 
 
 def enumerate_f_prime_tangles(stratum: Stratum) -> tuple[Profile, ...]:
@@ -125,11 +105,6 @@ class ChopTree:
         for root in self.roots:
             yield from root.walk()
 
-    def lines(self, pool: SeparationPool) -> frozenset[Line]:
-        full = pool.full_mask
-        return frozenset(line_of(pool, n.part) for n in self.nodes()
-                         if 0 < n.part < full)
-
 
 def build_chop_tree(wc: WeightedCanvas, k: int,
                     pool: SeparationPool | None = None) -> ChopTree | None:
@@ -145,7 +120,7 @@ def build_chop_tree(wc: WeightedCanvas, k: int,
     full = pool.full_mask
     stratum = pool.stratum(k)
     sides = sorted(stratum.pairs + tuple(c ^ full for c in stratum.pairs),
-                   key=lambda s: (stratum.order_of(s), s))
+                   key=lambda s: (pool.order_of(s), s))
     side_set = set(sides)
     memo: dict[int, ChopNode | None] = {}
 
@@ -160,8 +135,8 @@ def build_chop_tree(wc: WeightedCanvas, k: int,
             if c1 & part == c1 and c1 != part:
                 c2 = part & ~c1
                 if c1 < c2 and c2 in side_set:
-                    candidates.append((max(stratum.order_of(c1),
-                                           stratum.order_of(c2)), c1, c2))
+                    candidates.append((max(pool.order_of(c1),
+                                           pool.order_of(c2)), c1, c2))
         for _, c1, c2 in sorted(candidates):
             left, right = choppable(c1), choppable(c2)
             if left is not None and right is not None:
@@ -203,10 +178,8 @@ def verify_chop_tree(tree: ChopTree, wc: WeightedCanvas,
     nodes = list(tree.nodes())
     parts = [n.part for n in nodes]
 
-    laminar = all(
-        a & b in (0, a, b) or a | b == full
-        for i, a in enumerate(parts) for b in parts[i + 1:]
-    )
+    laminar = all(nested_sides(a, b, full)
+                  for i, a in enumerate(parts) for b in parts[i + 1:])
     orders_below_k = all(
         pool.order_of(n.part) < tree.k for n in nodes if 0 < n.part < full
     ) and (len(tree.roots) == 1
@@ -227,13 +200,11 @@ def verify_chop_tree(tree: ChopTree, wc: WeightedCanvas,
             return node.part.bit_count() == 1   # single-pixel star
         if len(node.children) != 2:
             return False
-        c1, c2 = (c.part for c in node.children)
-        if c1 & c2 or c1 | c2 != node.part:
-            return False
-        star = [node.part, c1 ^ full, c2 ^ full]
-        pairwise = all(x | y == full for x, y in combinations(star, 2))
-        inter = star[0] & star[1] & star[2]
-        return pairwise and inter == 0   # void 3-star
+        # {part, c1*, c2*} is a void star iff c1 and c2 split part into two
+        # nonempty halves and part is not the full set (whose two halves
+        # would be one pair)
+        star = [node.part] + [c.part ^ full for c in node.children]
+        return star_sides(star, full) and void_sides(star, full)
 
     roots_ok = (len(tree.roots) == 1 or
                 (tree.roots[0].part | tree.roots[1].part == full
@@ -251,13 +222,18 @@ class DualityReport:
     f_tangle: Profile | None
     chop_tree: ChopTree | None
     chop_tree_report: ChopTreeReport | None
+    chop_tree_skipped: bool   # the stratum has more than CHOP_TREE_PAIR_LIMIT pairs
 
     @property
     def exclusive(self) -> bool:
         return (self.f_tangle is None) != (self.chop_tree is None)
 
     @property
-    def ok(self) -> bool:
+    def ok(self) -> bool | str:
+        """True or False, or "skipped" when the chop-tree side was not
+        attempted; "skipped" is truthy, as no verification failed."""
+        if self.chop_tree_skipped:
+            return "skipped"
         return self.exclusive and (
             self.chop_tree is None or self.chop_tree_report.ok
         )
@@ -265,13 +241,17 @@ class DualityReport:
 
 def verify_duality(wc: WeightedCanvas, k: int,
                    pool: SeparationPool | None = None) -> DualityReport:
-    """Run both sides of the dichotomy; exactly one must succeed."""
+    """Run both sides of the dichotomy; exactly one must succeed.  The
+    chop-tree side is skipped above CHOP_TREE_PAIR_LIMIT pairs."""
     if pool is None:
         pool = build_universe(wc)
-    tangle = find_f_tangle(pool.stratum(k))
+    stratum = pool.stratum(k)
+    tangle = find_f_tangle(stratum)
+    if len(stratum.pairs) > CHOP_TREE_PAIR_LIMIT:
+        return DualityReport(k, tangle, None, None, True)
     tree = build_chop_tree(wc, k, pool)
     report = verify_chop_tree(tree, wc, pool) if tree is not None else None
-    return DualityReport(k, tangle, tree, report)
+    return DualityReport(k, tangle, tree, report, False)
 
 
 def induced_subcanvas(wc: WeightedCanvas, subset: int) -> WeightedCanvas:

@@ -10,21 +10,17 @@ def _gray_code(level: int) -> int:
     return level ^ (level >> 1)
 
 
-def load_picture(path, fmt: str | None = None, n: int = 1,
-                 pixel_cap: int = DEFAULT_PIXEL_CAP) -> Picture:
-    """Load a picture from a grid text file or a PGM (P2/P5) file.
+def load_picture(path, n: int = 1, pixel_cap: int = DEFAULT_PIXEL_CAP) -> Picture:
+    """Load a picture from a PGM (P2/P5) file if its suffix is .pgm, else
+    from a grid text file.
 
     Grid files carry their own bit depth in the header; PGM gray values are
     quantized into 2^n uniform levels and Gray-coded.
     """
     path = Path(path)
-    if fmt is None:
-        fmt = "pgm" if path.suffix.lower() == ".pgm" else "grid"
-    if fmt == "grid":
-        return parse_grid(path.read_text(), pixel_cap=pixel_cap)
-    if fmt == "pgm":
+    if path.suffix.lower() == ".pgm":
         return parse_pgm(path.read_bytes(), n=n, pixel_cap=pixel_cap)
-    raise PictureError(f"unknown picture format {fmt!r}")
+    return parse_grid(path.read_text(), pixel_cap=pixel_cap)
 
 
 def parse_grid(text: str, pixel_cap: int = DEFAULT_PIXEL_CAP) -> Picture:

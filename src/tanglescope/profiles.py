@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 from .canvas import WeightedCanvas
 from .search import enumerate_profile_orientations
-from .sepsys import SeparationPool, Stratum, build_universe, consistent_sides
+from .sepsys import SeparationPool, Stratum, build_universe
 
 
 @dataclass(frozen=True)
@@ -51,8 +51,8 @@ def is_profile(o: Orientation) -> bool:
         allowed.add(d)
     if not chosen <= allowed:
         return False
-    if not consistent_sides(list(chosen), full):
-        return False
+    # this also decides consistency: full is chosen, so two disjoint chosen
+    # sides x, y give (x & y) ^ full == full in chosen and are rejected
     members = list(chosen)
     for i, x in enumerate(members):
         for y in members[i:]:
@@ -188,7 +188,8 @@ def equivalence_classes(pool: SeparationPool) -> list[tuple[Profile, ...]]:
                 break
             chain.append(ext[0])
         classes.append(tuple(chain))
-    classes.sort(key=lambda ch: (ch[0].k, sorted(ch[0].chosen)))
+    # starts come level by level, each level in canonical order, so the
+    # classes are sorted by (level, chosen sides) of their first member
     return classes
 
 

@@ -4,17 +4,13 @@ from __future__ import annotations
 import json
 
 from .canvas import DEFAULT_PIXEL_CAP, WeightedCanvas
-from .duality import build_chop_tree, find_f_tangle, verify_chop_tree
+from .duality import verify_duality
 from .profiles import Profile, refines, regions, restrict
 from .sepsys import build_universe
 from .treeset import (TreeSet, build_distinguishing_tree_set, outline,
                       splitting_stars, verify_tree_set)
 
 SCHEMA_VERSION = 1
-
-# chop-tree searches are quadratic in the stratum size; above this many
-# oriented sides the per-k verdict records the tree side as not attempted
-CHOP_TREE_PAIR_LIMIT = 40000
 
 
 def _hex(side: int) -> str:
@@ -60,31 +56,21 @@ def analyze(wc: WeightedCanvas,
     # is downward-closed in k, so stop after the first k without one
     verdicts = []
     resolution = 0
-    duality_ok = True
     for k in range(1, pool.max_order + 2):
-        stratum = pool.stratum(k)
-        tangle = find_f_tangle(stratum)
-        if len(stratum.pairs) <= CHOP_TREE_PAIR_LIMIT:
-            chop = build_chop_tree(wc, k, pool)
-            chop_found = chop is not None
-            chop_valid = (verify_chop_tree(chop, wc, pool).ok
-                          if chop is not None else None)
-            ok = (tangle is not None) != chop_found and chop_valid is not False
-            duality_ok = duality_ok and ok
-        else:
-            chop_found = None
-            chop_valid = None
-            ok = None
+        d = verify_duality(wc, k, pool)
         verdicts.append({
             "k": k,
-            "f_tangle": tangle is not None,
-            "chop_tree": chop_found,
-            "chop_tree_valid": chop_valid,
-            "ok": ok,
+            "f_tangle": d.f_tangle is not None,
+            "chop_tree": None if d.chop_tree_skipped else d.chop_tree is not None,
+            "chop_tree_valid": (d.chop_tree_report.ok
+                                if d.chop_tree_report is not None else None),
+            "ok": d.ok,
         })
-        if tangle is None:
+        if d.f_tangle is None:
             break
         resolution = k
+    oks = [v["ok"] for v in verdicts]
+    duality_ok = False if False in oks else "skipped" if "skipped" in oks else True
 
     region_entries = []
     for i, rho in enumerate(region_list):
@@ -124,7 +110,7 @@ def analyze(wc: WeightedCanvas,
             "duality": duality_ok,
         },
     }
-    return report, tree_ok and duality_ok
+    return report, tree_ok and duality_ok is not False
 
 
 def encode_report(report: dict) -> str:

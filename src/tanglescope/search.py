@@ -23,12 +23,11 @@ x, y whose forced consequence contradicts a third assigned side, and the
 pairwise scan against all previously chosen sides runs on every
 assignment.  Leaves of the search are therefore exactly the orientations
 sought, with no post-filtering.  This module holds no checkers of its own:
-`duality.find_f_tangle` re-verifies every F-tangle hit, and the test suite
-compares all three modes against brute-force oracles.
+`duality.find_f_tangle` re-verifies every F-tangle hit with the
+definition-level `profiles.is_profile` and `profiles.is_focused`, and the
+test suite compares all three modes against brute-force oracles.
 """
 from __future__ import annotations
-
-import sys
 
 from .sepsys import Stratum
 
@@ -39,30 +38,22 @@ class SearchDefect(RuntimeError):
     """Internal invariant failure in an exhaustive search."""
 
 
-def _popcount(x: int) -> int:
-    return x.bit_count()
-
-
-def _bump_recursion(extra: int) -> None:
-    limit = 4 * extra + 10000
-    if sys.getrecursionlimit() < limit:
-        sys.setrecursionlimit(limit)
-
-
 def _is_full_universe(stratum: Stratum) -> bool:
     npix = stratum.full_mask.bit_count()
     return len(stratum.pairs) == (1 << (npix - 1)) - 1
 
 
 def _principal_orientations(stratum: Stratum) -> list[frozenset[int]]:
+    """The orientation toward each pixel of a full-universe stratum, in
+    pixel order.  That is the canonical order: for pixels p < q the
+    smallest side chosen by exactly one of the two is {p}, chosen toward p."""
     full = stratum.full_mask
-    out = set()
+    out = []
     for p in range(full.bit_length()):
-        chosen = [full]
-        for c in stratum.pairs:
-            chosen.append(c if c >> p & 1 else c ^ full)
-        out.add(frozenset(chosen))
-    return sorted(out, key=sorted)
+        chosen = [c if c >> p & 1 else c ^ full for c in stratum.pairs]
+        chosen.append(full)
+        out.append(frozenset(chosen))
+    return out
 
 
 class _AssignmentSearch:
@@ -76,7 +67,7 @@ class _AssignmentSearch:
         # branch on small underlying sets first: they decide the most
         self.pairs = sorted(
             stratum.pairs,
-            key=lambda c: (min(_popcount(c), _popcount(c ^ self.full)), c),
+            key=lambda c: (min(c.bit_count(), (c ^ self.full).bit_count()), c),
         )
         self.index: dict[int, int] = {}
         for i, c in enumerate(self.pairs):
@@ -93,7 +84,7 @@ class _AssignmentSearch:
         queue = [side]
         while queue:
             s = queue.pop()
-            if self.mode == "ftangle" and _popcount(s) == 1:
+            if self.mode == "ftangle" and s.bit_count() == 1:
                 return None  # single-pixel star
             i = self.index[s]
             cur = self.status[i]
@@ -132,31 +123,41 @@ class _AssignmentSearch:
             self.status[self.index[s]] = None
 
     def run(self, find_one: bool = False) -> list[frozenset[int]]:
-        _bump_recursion(len(self.pairs))
         results: list[frozenset[int]] = []
-
-        def descend(start: int) -> bool:
-            for i in range(start, len(self.pairs)):
-                if self.status[i] is not None:
-                    continue
+        # decision frames [pair index, sides left to try (the larger side
+        # is tried first), assignments made by the side being tried]
+        stack: list[list] = []
+        start = 0
+        while True:
+            i = next((j for j in range(start, len(self.pairs))
+                      if self.status[j] is None), None)
+            if i is None:
+                results.append(frozenset(self.chosen) | {self.full})
+                if find_one:
+                    return results
+            else:
                 c = self.pairs[i]
                 d = c ^ self.full
-                first, second = (d, c) if _popcount(d) >= _popcount(c) else (c, d)
-                for choice in (first, second):
-                    before = len(self.chosen)
-                    made = self._propagate(choice)
-                    if made is None:
-                        self._rollback(len(self.chosen) - before)
-                        continue
-                    if descend(i + 1):
-                        return True
-                    self._rollback(made)
-                return False
-            results.append(frozenset(self.chosen) | {self.full})
-            return find_one
-
-        descend(0)
-        return results
+                sides = [c, d] if d.bit_count() >= c.bit_count() else [d, c]
+                stack.append([i, sides, 0])
+            # backtrack to the deepest frame with a side left that propagates
+            while stack:
+                frame = stack[-1]
+                self._rollback(frame[2])
+                frame[2] = 0
+                if not frame[1]:
+                    stack.pop()
+                    continue
+                before = len(self.chosen)
+                made = self._propagate(frame[1].pop())
+                if made is None:
+                    self._rollback(len(self.chosen) - before)
+                    continue
+                frame[2] = made
+                start = frame[0] + 1
+                break
+            else:
+                return results
 
 
 # -- public entry points ------------------------------------------------------

@@ -94,9 +94,6 @@ class Stratum:
     def full_mask(self) -> int:
         return self.pool.full_mask
 
-    def order_of(self, side: int) -> int:
-        return self.pool.order_of(side)
-
     def __contains__(self, side: int) -> bool:
         return side in self.members
 
@@ -196,26 +193,35 @@ def is_star(seps) -> bool:
     for s in seps[1:]:
         _same_pool(seps[0], s)
     full = seps[0].pool.full_mask if seps else 0
-    sides = [s.side for s in seps]
+    return star_sides([s.side for s in seps], full)
+
+
+def star_sides(sides, full: int) -> bool:
+    """True iff every two distinct sides point towards each other.
+
+    x <= y* and y <= x* both reduce to x | y == full; the two orientations
+    of one pair point away from each other, so a star holds no such pair."""
+    sides = list(sides)
     for i, x in enumerate(sides):
         for y in sides[i + 1:]:
-            if x == y:
-                continue
-            # x <= y* and y <= x* both reduce to x | y == full; two
-            # orientations of one pair point away from each other
-            if x | y != full or x ^ y == full:
+            if x != y and (x | y != full or x ^ y == full):
                 return False
     return True
 
 
 def is_void(seps) -> bool:
     seps = list(seps)
-    if not seps:
-        return False
-    inter = seps[0].pool.full_mask
-    for s in seps:
-        inter &= s.side
-    return inter == 0
+    full = seps[0].pool.full_mask if seps else 0
+    return void_sides([s.side for s in seps], full)
+
+
+def void_sides(sides, full: int) -> bool:
+    """True iff there is at least one side and no pixel lies in every side."""
+    sides = list(sides)
+    inter = full
+    for s in sides:
+        inter &= s
+    return bool(sides) and inter == 0
 
 
 def is_single_pixel(seps) -> bool:

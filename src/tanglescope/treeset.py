@@ -3,9 +3,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .profiles import Profile, Region, distinguishable
+from .profiles import Profile, Region, distinguishable, distinguishes
 from .search import SearchDefect
-from .sepsys import SeparationPool, nested_sides
+from .sepsys import SeparationPool, consistent_sides, nested_sides
 
 
 @dataclass(frozen=True)
@@ -14,9 +14,6 @@ class Line:
 
     side: int      # the orientation not containing pixel 0
     order: int
-
-    def orientations(self, full: int) -> tuple[int, int]:
-        return self.side, self.side ^ full
 
 
 def line_of(pool: SeparationPool, side: int) -> Line:
@@ -69,19 +66,13 @@ def _line_orientation_in(line: Line, p: Profile) -> int | None:
     return None
 
 
-def line_distinguishes(line: Line, p: Profile, q: Profile) -> bool:
-    a, b = _line_orientation_in(line, p), _line_orientation_in(line, q)
-    return a is not None and b is not None and a != b
-
-
 def min_distinguishers(p: Profile, q: Profile, pool: SeparationPool) -> frozenset[Line]:
     """All minimum-order lines distinguishing p from q (the efficiency oracle)."""
     if not distinguishable(p, q):
         raise ValueError("profiles are not distinguishable")
     ell = min(p.k, q.k)
     stratum = pool.stratum(ell)
-    candidates = [line_of(pool, c) for c in stratum.pairs
-                  if line_distinguishes(line_of(pool, c), p, q)]
+    candidates = [line_of(pool, c) for c in stratum.pairs if distinguishes(c, p, q)]
     best = min(line.order for line in candidates)
     return frozenset(line for line in candidates if line.order == best)
 
@@ -100,7 +91,7 @@ def consistent_orientations(t: TreeSet) -> list[frozenset[int]]:
             return
         line = t.lines[i]
         for side in (line.side, line.side ^ full):
-            if all(s & side or (s ^ full) == side for s in chosen):
+            if consistent_sides(chosen + [side], full):
                 chosen.append(side)
                 descend(i + 1, chosen)
                 chosen.pop()
@@ -109,7 +100,7 @@ def consistent_orientations(t: TreeSet) -> list[frozenset[int]]:
     return sorted(out, key=sorted)
 
 
-def _maximal_elements(sides, full: int) -> frozenset[int]:
+def _maximal_elements(sides) -> frozenset[int]:
     """Maximal under <= (reverse inclusion): the inclusion-minimal sides."""
     sides = list(sides)
     return frozenset(
@@ -120,8 +111,7 @@ def _maximal_elements(sides, full: int) -> frozenset[int]:
 
 def splitting_stars(t: TreeSet) -> list[frozenset[int]]:
     """Maximal-element sets of the consistent orientations (the tree nodes)."""
-    full = t.full_mask
-    return [_maximal_elements(o, full) for o in consistent_orientations(t)]
+    return [_maximal_elements(o) for o in consistent_orientations(t)]
 
 
 def extensions(p: Profile, t: TreeSet) -> list[frozenset[int]]:
@@ -136,15 +126,10 @@ def outline(rho: Region, t: TreeSet) -> frozenset[int]:
     p = rho.members[0]
     oriented = [side for line in t.lines
                 if (side := _line_orientation_in(line, p)) is not None]
-    return _maximal_elements(oriented, t.full_mask)
+    return _maximal_elements(oriented)
 
 
 # -- construction and verification -------------------------------------------
-
-
-def _efficiently_distinguished(pair, lines) -> bool:
-    candidates, _ = pair
-    return any(line in candidates for line in lines)
 
 
 def build_distinguishing_tree_set(profiles, pool: SeparationPool) -> TreeSet:
@@ -170,7 +155,7 @@ def build_distinguishing_tree_set(profiles, pool: SeparationPool) -> TreeSet:
 
     def plain_ok(lines, without=None) -> bool:
         kept = [l for l in lines if l != without]
-        return all(any(line_distinguishes(l, p, q) for l in kept)
+        return all(any(distinguishes(l.side, p, q) for l in kept)
                    for _, (p, q) in pairs)
 
     def efficient_ok(lines, without=None) -> bool:
@@ -226,12 +211,10 @@ def verify_tree_set(t: TreeSet, profiles, pool: SeparationPool) -> TreeSetReport
     laminar = is_laminar(pool, t.lines)
     prof_pairs = [(p, q) for i, p in enumerate(profiles) for q in profiles[i + 1:]]
 
-    efficiency = all(
-        any(line in min_distinguishers(p, q, pool) for line in t.lines)
-        for p, q in prof_pairs
-    )
+    efficiency = all(not min_distinguishers(p, q, pool).isdisjoint(t.lines)
+                     for p, q in prof_pairs)
     minimality = all(
-        any(not any(line_distinguishes(l, p, q)
+        any(not any(distinguishes(l.side, p, q)
                     for l in t.lines if l != removed)
             for p, q in prof_pairs)
         for removed in t.lines

@@ -10,13 +10,14 @@ from corpus import (LARGE_PICTURES, SMALL_PICTURES, TWELVE_PIXEL_PICTURES,
                     lcg_stream, weighted)
 from oracles import naive_profiles
 from tanglescope import (analyze, build_chop_tree, build_distinguishing_tree_set,
-                         build_universe, encode_report, enumerate_profiles,
-                         find_f_tangle, is_focused, max_supported_resolution,
-                         regions, verify_chop_tree, verify_tree_set)
+                         build_universe, distinguishes, encode_report,
+                         enumerate_profiles, find_f_tangle, is_focused,
+                         max_supported_resolution, regions, verify_chop_tree,
+                         verify_tree_set)
 from tanglescope.duality import enumerate_f_prime_tangles
 from tanglescope.fixtures import fixture_canvas, noisedisc_masks
 from tanglescope.report import select_representatives
-from tanglescope.treeset import line_distinguishes, line_of
+from tanglescope.treeset import line_of
 
 
 def _verdict(capsys, number: int, label: str, ok: bool, elapsed: float):
@@ -99,7 +100,7 @@ def test_criterion_4_quadrants(capsys, wc_quad, pool_quad):
     pairs = [(p, q) for i, p in enumerate(quad_profiles)
              for q in quad_profiles[i + 1:]]
     no_two_suffice = not any(
-        all(line_distinguishes(a, p, q) or line_distinguishes(b, p, q)
+        all(distinguishes(a.side, p, q) or distinguishes(b.side, p, q)
             for p, q in pairs)
         for i, a in enumerate(candidates) for b in candidates[i + 1:]
     )

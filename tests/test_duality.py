@@ -1,15 +1,23 @@
 from __future__ import annotations
 
+import dataclasses
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import tanglescope.duality as duality
 from corpus import TWELVE_PIXEL_PICTURES, one_pixel, picture, weighted
-from oracles import naive_fprime_stars, naive_tangles
+from oracles import _consistent, all_orientations, naive_fprime_stars, naive_tangles
 from tanglescope import (analyze, build_chop_tree, build_universe, enumerate_profiles,
                          find_f_tangle, is_focused, is_profile,
                          max_supported_resolution, standard_F,
                          verify_chop_tree, verify_duality)
-from tanglescope.duality import enumerate_f_prime_tangles, induced_subcanvas
+from tanglescope.duality import ChopNode, enumerate_f_prime_tangles, induced_subcanvas
 from tanglescope.fixtures import fixture_canvas, noisedisc_masks
+from tanglescope.profiles import orientation_of
+from tanglescope.search import SearchDefect
 
 
 def test_standard_f_membership(pool_mono):
@@ -70,6 +78,29 @@ def test_f_tangle_matches_naive_oracle():
             assert hit is None or hit.chosen in naive
 
 
+def _first_orientation(stratum, wanted):
+    full = stratum.full_mask
+    for chosen in all_orientations(stratum):
+        o = orientation_of(stratum, chosen)
+        if wanted(_consistent(chosen, full), is_profile(o), is_focused(o)):
+            return chosen
+    raise AssertionError("no orientation of the wanted kind")
+
+
+@pytest.mark.parametrize("fixture_name, k, wanted", [
+    ("mono2x2", 2, lambda cons, prof, foc: prof and foc),
+    ("quad4x4", 3, lambda cons, prof, foc: not cons and not foc),
+    ("mono2x2", 2, lambda cons, prof, foc: cons and not prof and not foc),
+], ids=["focused", "inconsistent", "non-profile"])
+def test_find_f_tangle_rejects_bad_hits(monkeypatch, fixture_name, k, wanted):
+    stratum = build_universe(fixture_canvas(fixture_name)).stratum(k)
+    bad = _first_orientation(stratum, wanted)
+    monkeypatch.setattr(duality, "find_star_avoiding_orientation",
+                        lambda s: bad)
+    with pytest.raises(SearchDefect):
+        find_f_tangle(stratum)
+
+
 def test_fprime_matches_naive_oracle(pool_mono):
     for k in range(1, pool_mono.max_order + 2):
         stratum = pool_mono.stratum(k)
@@ -92,11 +123,97 @@ def test_analyze_sweep_matches_max_supported_resolution(name):
     assert [v["f_tangle"] for v in verdicts] == [v["k"] <= r for v in verdicts]
 
 
+def test_analyze_skipped_verdicts(monkeypatch, wc_quad):
+    monkeypatch.setattr(duality, "CHOP_TREE_PAIR_LIMIT", 0)
+    report, ok = analyze(wc_quad)
+    verdicts = report["duality"]["verdicts"]
+    assert verdicts and all(v["ok"] == "skipped" and v["chop_tree"] is None
+                            and v["chop_tree_valid"] is None for v in verdicts)
+    assert report["verified"]["duality"] == "skipped"
+    # the flag means that no verification failed
+    assert ok
+
+
+def test_analyze_keeps_recursion_limit():
+    # run from the directory holding the package this suite imports
+    src = Path(duality.__file__).resolve().parents[1]
+    code = ("import sys\n"
+            "from tanglescope import analyze\n"
+            "from tanglescope.fixtures import fixture_canvas\n"
+            "before = sys.getrecursionlimit()\n"
+            "analyze(fixture_canvas('quad4x4'))\n"
+            "print(before, sys.getrecursionlimit())\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, cwd=src, timeout=120)
+    before, after = out.stdout.split()
+    assert before == after
+
+
 def test_chop_tree_mono(wc_mono, pool_mono):
     tree = build_chop_tree(wc_mono, 3, pool_mono)
     assert tree is not None
     assert verify_chop_tree(tree, wc_mono, pool_mono).ok
     assert build_chop_tree(wc_mono, 2, pool_mono) is None
+
+
+def _replace_node(node, target, new):
+    if node is target:
+        return new
+    return dataclasses.replace(node, children=tuple(
+        _replace_node(c, target, new) for c in node.children))
+
+
+def _replace_in_tree(tree, target, new):
+    return dataclasses.replace(tree, roots=tuple(
+        _replace_node(r, target, new) for r in tree.roots))
+
+
+def test_verify_chop_tree_mutations(wc_quad, pool_quad):
+    # each mutation of a valid quad4x4 tree fails its own flag
+    tree = build_chop_tree(wc_quad, 6, pool_quad)
+    assert verify_chop_tree(tree, wc_quad, pool_quad).ok
+    full = pool_quad.full_mask
+    first = tree.roots[0]
+
+    def failed(mutant):
+        flags = dataclasses.asdict(verify_chop_tree(mutant, wc_quad, pool_quad))
+        return {name for name, value in flags.items() if not value}
+
+    # crossing: a node trades a pixel with its sibling; every order stays
+    # below k once k is above the largest order.  Parts that cross cannot
+    # all be split into their children, so stars_ok fails as well
+    node, sibling = first.children
+    crossed = node.part ^ (node.part & -node.part) ^ (sibling.part & -sibling.part)
+    mutant = dataclasses.replace(
+        _replace_in_tree(tree, node, dataclasses.replace(node, part=crossed)),
+        k=pool_quad.max_order + 1)
+    assert failed(mutant) == {"laminar", "stars_ok"}
+
+    # a part of order >= k
+    assert failed(dataclasses.replace(tree, k=tree.k - 1)) == {"orders_below_k"}
+
+    # a lost half, and a doubled leaf as a third root
+    assert failed(dataclasses.replace(tree, roots=(first,))) == {"leaves_biject_pixels"}
+    leaf = next(n for n in first.walk() if not n.children)
+    assert failed(dataclasses.replace(tree, roots=tree.roots + (leaf,))) == {
+        "leaves_biject_pixels"}
+
+    # overlapping roots: one grown to the full set keeps its two halves
+    grown = ChopNode(full, first.children)
+    assert failed(_replace_in_tree(tree, first, grown)) == {"stars_ok"}
+
+
+def test_verify_chop_tree_rejects_non_void_split(wc_mono, pool_mono):
+    # the roots 0b0111 and 0b1000 partition the canvas and every leaf is
+    # one pixel, but pixel 2 hangs as a third root instead of under 0b0111,
+    # so the star {0b0111, 0b0001*, 0b0010*} shares pixel 2
+    leaf = {p: ChopNode(1 << p, ()) for p in range(4)}
+    split = ChopNode(0b0111, (leaf[0], leaf[1]))
+    tree = duality.ChopTree(pool_mono.max_order + 1, (split, leaf[3], leaf[2]))
+    report = verify_chop_tree(tree, wc_mono, pool_mono)
+    assert dataclasses.asdict(report) == {
+        "laminar": True, "orders_below_k": True,
+        "leaves_biject_pixels": True, "stars_ok": False}
 
 
 def test_chop_tree_one_pixel():

@@ -1,13 +1,15 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
 
-from corpus import SMALL_PICTURES, weighted, white2x2
+from corpus import SMALL_PICTURES, TWELVE_PIXEL_PICTURES, random_weighted, weighted, white2x2
 from oracles import naive_profiles
 from tanglescope import (build_universe, distinguishable, distinguishes,
                          enumerate_profiles, equivalent, induces, is_focused,
                          is_principal, is_profile, refines, regions, restrict)
-from tanglescope.profiles import orientation_of
+from tanglescope.fixtures import fixture_canvas
+from tanglescope.profiles import equivalence_classes, orientation_of, profile_levels
 
 
 def _toward(stratum, pixel):
@@ -33,6 +35,16 @@ def test_is_profile_examples(pool_mono):
     assert is_profile(base)
     violator = orientation_of(s3, (base.chosen - {0b1001}) | {0b0110})
     assert not is_profile(violator)
+
+
+def test_is_profile_rejects_disjoint_singletons(pool_mono):
+    # the pairwise profile condition alone must catch two disjoint chosen
+    # sides: their intersection is 0, whose inverse is the chosen full side
+    top = pool_mono.stratum(pool_mono.max_order + 1)
+    full = pool_mono.full_mask
+    both = orientation_of(top, (_toward(top, 0).chosen - {0b0010 ^ full}) | {0b0010})
+    assert {0b0001, 0b0010} <= both.chosen
+    assert not is_profile(both)
 
 
 def test_enumerate_mono_counts(pool_mono):
@@ -129,6 +141,36 @@ def test_equivalence_is_an_equivalence(pool_mono):
             for r in profs:
                 if equivalent(p, q) and equivalent(q, r):
                     assert equivalent(p, r)
+
+
+@pytest.mark.parametrize("name", sorted(TWELVE_PIXEL_PICTURES) + ["quad4x4"])
+def test_equivalence_classes_are_maximal_chains(name):
+    wc = (fixture_canvas(name) if name == "quad4x4"
+          else weighted(TWELVE_PIXEL_PICTURES[name]))
+    pool = build_universe(wc)
+    levels = profile_levels(pool)
+    classes = equivalence_classes(pool)
+    members = [p for chain in classes for p in chain]
+    assert sorted(members, key=lambda p: (p.k, sorted(p.chosen))) == sorted(
+        (p for profs in levels.values() for p in profs),
+        key=lambda p: (p.k, sorted(p.chosen)))
+    assert len(set(members)) == len(members)
+    for chain in classes:
+        for lo, hi in zip(chain, chain[1:]):
+            assert hi.k == lo.k + 1 and equivalent(lo, hi)
+        first = chain[0]
+        if first.k > 1:
+            assert not equivalent(first, restrict(first, first.k - 1))
+
+
+@settings(deadline=None, max_examples=40)
+@given(random_weighted())
+def test_full_universe_profiles_are_principal_in_pixel_order(wc):
+    pool = build_universe(wc)
+    top = pool.stratum(pool.max_order + 1)
+    toward = [_toward(top, p).chosen for p in range(wc.npixels)]
+    assert [p.chosen for p in enumerate_profiles(top)] == toward
+    assert sorted(toward, key=sorted) == toward
 
 
 def test_regions_mono(wc_mono, pool_mono):

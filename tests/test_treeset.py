@@ -107,15 +107,15 @@ def test_verify_flags_inefficient_substitution(quad_reps, pool_quad, quad_tree):
     lines = list(quad_tree.lines)
     dropped = lines.pop(0)
     # find a line distinguishing the same pairs as `dropped` at higher order
-    from tanglescope.treeset import line_distinguishes
+    from tanglescope import distinguishes
     pairs = [(p, q) for i, p in enumerate(quad_reps) for q in quad_reps[i + 1:]
-             if line_distinguishes(dropped, p, q)
-             and not any(line_distinguishes(l, p, q) for l in lines)]
+             if distinguishes(dropped.side, p, q)
+             and not any(distinguishes(l.side, p, q) for l in lines)]
     stratum = pool_quad.stratum(min(p.k for p in quad_reps))
     substitute = next(
         line_of(pool_quad, c) for c in sorted(
             stratum.pairs, key=lambda c: -pool_quad.order_of(c))
-        if all(line_distinguishes(line_of(pool_quad, c), p, q) for p, q in pairs)
+        if all(distinguishes(line_of(pool_quad, c).side, p, q) for p, q in pairs)
         and pool_quad.order_of(c) > dropped.order
     )
     worse = make_tree_set(pool_quad, lines + [substitute])
