@@ -14,10 +14,7 @@ from .profiles import (Orientation, Profile, Region, distinguishable,
                        restrict)
 from .render import render_mask, render_svg
 from .report import analyze, decode_report, encode_report
-from .sepsys import (OrientedSep, SeparationPool, Stratum,
-                     UniverseMismatchError, build_universe, classify, inverse,
-                     is_consistent, is_nested, is_star, is_void, join, leq,
-                     meet)
+from .sepsys import SeparationPool, Stratum, build_universe
 from .treeset import (Line, TreeSet, build_distinguishing_tree_set,
                       consistent_orientations, min_distinguishers, outline,
                       splitting_stars, verify_tree_set)

@@ -30,7 +30,6 @@ class Canvas:
     width: int
     height: int
     edges: tuple[tuple[int, int], ...]
-    adjacency: tuple[tuple[int, ...], ...]
 
     @property
     def npixels(self) -> int:
@@ -62,11 +61,7 @@ def build_grid_canvas(width: int, height: int, pixel_cap: int = DEFAULT_PIXEL_CA
                 edges.append((p, p + 1))
             if r + 1 < height:
                 edges.append((p, p + width))
-    incident: list[list[int]] = [[] for _ in range(width * height)]
-    for i, (p, q) in enumerate(edges):
-        incident[p].append(i)
-        incident[q].append(i)
-    return Canvas(width, height, tuple(edges), tuple(tuple(v) for v in incident))
+    return Canvas(width, height, tuple(edges))
 
 
 @dataclass(frozen=True)
@@ -87,7 +82,8 @@ def attach_picture(canvas: Canvas, values, n: int) -> Picture:
             f"expected {canvas.npixels} pixel values, got {len(values)}"
         )
     for v in values:
-        if not 0 <= v < (1 << n):
+        # bit_length, not 1 << n: an absurd n must not allocate a huge int
+        if v < 0 or v.bit_length() > n:
             raise PictureError(f"pixel value {v:#x} does not fit in {n} bits")
     return Picture(canvas, n, values)
 

@@ -272,11 +272,7 @@ def induced_subcanvas(wc: WeightedCanvas, subset: int) -> WeightedCanvas:
         if p in remap and q in remap:
             edges.append((remap[p], remap[q]))
             delta.append(d)
-    incident: list[list[int]] = [[] for _ in pixels]
-    for i, (p, q) in enumerate(edges):
-        incident[p].append(i)
-        incident[q].append(i)
-    canvas = Canvas(len(pixels), 1, tuple(edges), tuple(tuple(v) for v in incident))
+    canvas = Canvas(len(pixels), 1, tuple(edges))
     picture = Picture(canvas, wc.picture.n,
                       tuple(wc.picture.values[p] for p in pixels))
     return WeightedCanvas(picture, tuple(delta), wc.N)

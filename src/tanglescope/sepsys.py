@@ -1,8 +1,10 @@
-"""The separation-system algebra over bipartitions of the pixel set.
+"""The separation system of bipartitions of the pixel set.
 
 A pixel set A (int bitmask) is one orientation of the bipartition
-(complement, A).  The partial order is reverse inclusion, the involution is
-complementation, join is intersection and meet is union.
+(complement, A).  The partial order is reverse inclusion (x <= y iff
+x | y == x), the involution is complementation (x ^ full), join is
+intersection (x & y) and meet is union (x | y).  Sides stay plain ints;
+each predicate below takes the pool's `full` mask explicitly.
 """
 from __future__ import annotations
 
@@ -12,10 +14,6 @@ from functools import cached_property
 import numpy as np
 
 from .canvas import DEFAULT_PIXEL_CAP, HARD_PIXEL_CAP, CanvasSizeError, WeightedCanvas
-
-
-class UniverseMismatchError(ValueError):
-    """Operation mixing separations from different weighted canvases."""
 
 
 class SeparationPool:
@@ -28,28 +26,14 @@ class SeparationPool:
         self._profile_cache: dict[int, tuple] = {}
         self._strata: dict[int, Stratum] = {}
 
-    # -- membership / orders -------------------------------------------------
-
-    def __contains__(self, side: int) -> bool:
-        return 0 <= side <= self.full_mask
+    # -- orders --------------------------------------------------------------
 
     def order_of(self, side: int) -> int:
         return int(self.wc.all_orders()[side])
 
-    def sides(self):
-        return range(self.full_mask + 1)
-
-    def __len__(self) -> int:
-        return self.full_mask + 1
-
     @cached_property
     def max_order(self) -> int:
         return int(self.wc.all_orders().max())
-
-    def sep(self, side: int) -> "OrientedSep":
-        if side not in self:
-            raise UniverseMismatchError(f"side {side:#x} is not in this pool")
-        return OrientedSep(side, self)
 
     def canonical_side(self, side: int) -> int:
         """The orientation of side's pair that does not contain pixel 0."""
@@ -107,93 +91,12 @@ def build_universe(wc: WeightedCanvas,
     return SeparationPool(wc)
 
 
-# -- oriented separations and their algebra ----------------------------------
-
-
-@dataclass(frozen=True)
-class OrientedSep:
-    """One orientation of a bipartition, bound to its pool."""
-
-    side: int
-    pool: SeparationPool
-
-    @property
-    def order(self) -> int:
-        return self.pool.order_of(self.side)
-
-    def __repr__(self):
-        return f"OrientedSep({self.side:#x}, order={self.order})"
-
-
-def _same_pool(a: OrientedSep, b: OrientedSep) -> None:
-    if a.pool is not b.pool:
-        raise UniverseMismatchError("separations belong to different universes")
-
-
-def inverse(a: OrientedSep) -> OrientedSep:
-    return OrientedSep(a.side ^ a.pool.full_mask, a.pool)
-
-
-def leq(a: OrientedSep, b: OrientedSep) -> bool:
-    """a <= b, i.e. side(a) is a superset of side(b)."""
-    _same_pool(a, b)
-    return a.side | b.side == a.side
-
-
-def join(a: OrientedSep, b: OrientedSep) -> OrientedSep:
-    _same_pool(a, b)
-    return OrientedSep(a.side & b.side, a.pool)
-
-
-def meet(a: OrientedSep, b: OrientedSep) -> OrientedSep:
-    _same_pool(a, b)
-    return OrientedSep(a.side | b.side, a.pool)
-
-
-def classify(a: OrientedSep, stratum: Stratum) -> frozenset[str]:
-    """Labels from {small, cosmall, trivial, cotrivial, proper,
-    degenerate-pair-member} applying to a within the stratum."""
-    if a.pool is not stratum.pool:
-        raise UniverseMismatchError("separation is not from the stratum's pool")
-    if a.side not in stratum:
-        raise ValueError("separation is not a member of the stratum")
-    full = a.pool.full_mask
-    labels = set()
-    if a.side == full:
-        labels.add("small")
-    if a.side == 0:
-        labels.add("cosmall")
-    if a.side in (0, full):
-        labels.add("degenerate-pair-member")
-    # in this universe only the full side can sit strictly below both
-    # orientations of another pair
-    has_proper_pair = any(0 < s < full for s in stratum.pairs)
-    if a.side == full and has_proper_pair:
-        labels.add("trivial")
-    if a.side == 0 and has_proper_pair:
-        labels.add("cotrivial")
-    if 0 < a.side < full:
-        labels.add("proper")
-    return frozenset(labels)
-
-
-def is_nested(a: OrientedSep, b: OrientedSep) -> bool:
-    """True iff the two underlying bipartitions have comparable orientations."""
-    _same_pool(a, b)
-    return nested_sides(a.side, b.side, a.pool.full_mask)
+# -- predicates on sides ----------------------------------------------------
 
 
 def nested_sides(x: int, y: int, full: int) -> bool:
+    """True iff the two underlying bipartitions have comparable orientations."""
     return (x & y == x or x & y == y or x & y == 0 or x | y == full)
-
-
-def is_star(seps) -> bool:
-    """True iff all distinct elements point towards each other."""
-    seps = list(seps)
-    for s in seps[1:]:
-        _same_pool(seps[0], s)
-    full = seps[0].pool.full_mask if seps else 0
-    return star_sides([s.side for s in seps], full)
 
 
 def star_sides(sides, full: int) -> bool:
@@ -209,12 +112,6 @@ def star_sides(sides, full: int) -> bool:
     return True
 
 
-def is_void(seps) -> bool:
-    seps = list(seps)
-    full = seps[0].pool.full_mask if seps else 0
-    return void_sides([s.side for s in seps], full)
-
-
 def void_sides(sides, full: int) -> bool:
     """True iff there is at least one side and no pixel lies in every side."""
     sides = list(sides)
@@ -222,21 +119,6 @@ def void_sides(sides, full: int) -> bool:
     for s in sides:
         inter &= s
     return bool(sides) and inter == 0
-
-
-def is_single_pixel(seps) -> bool:
-    seps = list(seps)
-    return len(seps) == 1 and seps[0].side.bit_count() == 1
-
-
-def is_consistent(seps) -> bool:
-    """No two members of distinct pairs point away from each other."""
-    seps = list(seps)
-    for s in seps[1:]:
-        _same_pool(seps[0], s)
-    full = seps[0].pool.full_mask if seps else 0
-    sides = [s.side for s in seps]
-    return consistent_sides(sides, full)
 
 
 def consistent_sides(sides, full: int) -> bool:

@@ -56,14 +56,11 @@ def is_laminar(pool: SeparationPool, lines) -> bool:
     return True
 
 
-def _line_orientation_in(line: Line, p: Profile) -> int | None:
-    """The side of the line chosen by p, or None if p does not orient it."""
-    if line.side in p.chosen:
-        return line.side
-    other = line.side ^ p.stratum.full_mask
-    if other in p.chosen:
-        return other
-    return None
+def _oriented_by(p: Profile, t: TreeSet) -> frozenset[int]:
+    """The sides of t's lines that p chooses: p's partial orientation of t."""
+    full = t.full_mask
+    return frozenset(side for line in t.lines
+                     for side in (line.side, line.side ^ full) if side in p.chosen)
 
 
 def min_distinguishers(p: Profile, q: Profile, pool: SeparationPool) -> frozenset[Line]:
@@ -114,19 +111,9 @@ def splitting_stars(t: TreeSet) -> list[frozenset[int]]:
     return [_maximal_elements(o) for o in consistent_orientations(t)]
 
 
-def extensions(p: Profile, t: TreeSet) -> list[frozenset[int]]:
-    """Consistent orientations of t extending p's partial orientation."""
-    partial = {side for line in t.lines
-               if (side := _line_orientation_in(line, p)) is not None}
-    return [o for o in consistent_orientations(t) if partial <= o]
-
-
 def outline(rho: Region, t: TreeSet) -> frozenset[int]:
     """Maximal elements of the complexity-level profile's restriction to t."""
-    p = rho.members[0]
-    oriented = [side for line in t.lines
-                if (side := _line_orientation_in(line, p)) is not None]
-    return _maximal_elements(oriented)
+    return _maximal_elements(_oriented_by(rho.members[0], t))
 
 
 # -- construction and verification -------------------------------------------
@@ -221,7 +208,9 @@ def verify_tree_set(t: TreeSet, profiles, pool: SeparationPool) -> TreeSetReport
     ) if t.lines else True
 
     orientations = consistent_orientations(t)
-    exts = [extensions(p, t) for p in profiles]
+    # the consistent orientations of t extending each profile's partial one
+    partials = [_oriented_by(p, t) for p in profiles]
+    exts = [[o for o in orientations if part <= o] for part in partials]
     bijection = (
         len(orientations) == len(profiles)
         and all(len(e) == 1 for e in exts)

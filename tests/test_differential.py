@@ -1,0 +1,42 @@
+"""Differential net: the search engines against the brute-force oracles and
+the definition-level verifiers, on random pictures of at most 9 pixels."""
+from __future__ import annotations
+
+from hypothesis import given, settings
+
+from corpus import random_weighted
+from oracles import naive_profiles, naive_tangles
+from tanglescope import (StarSetF, analyze, build_universe, find_f_tangle,
+                         is_focused, max_supported_resolution, verify_duality)
+from tanglescope.duality import enumerate_f_prime_tangles
+from tanglescope.profiles import profile_levels
+
+# the oracles enumerate 2^pairs orientations
+_ORACLE_PAIRS = 12
+
+
+@settings(deadline=None, max_examples=50)
+@given(random_weighted(max_pixels=9))
+def test_engines_match_oracles_on_random_pictures(wc):
+    pool = build_universe(wc)
+    levels = profile_levels(pool)
+    for k, profs in levels.items():
+        stratum = pool.stratum(k)
+        chosen = [p.chosen for p in profs]
+        small = len(stratum.pairs) <= _ORACLE_PAIRS
+        if small:
+            assert chosen == naive_profiles(stratum)
+        # footnote equivalence: the F'-tangles are exactly the profiles
+        assert [t.chosen for t in enumerate_f_prime_tangles(stratum)] == chosen
+        hit = find_f_tangle(stratum)
+        if small:
+            naive = [o for o in naive_tangles(stratum, StarSetF(stratum).enumerate())
+                     if all(s.bit_count() != 1 for s in o)]
+            assert (hit is not None) == bool(naive)
+            assert hit is None or hit.chosen in naive
+    unfocused = [k for k, profs in levels.items()
+                 if not all(is_focused(p) for p in profs)]
+    assert max_supported_resolution(wc) == max(unfocused, default=0)
+    for k in range(1, pool.max_order + 2):
+        assert verify_duality(wc, k, pool).ok is True
+    assert analyze(wc)[1]

@@ -32,6 +32,11 @@ def test_parse_grid_errors():
         parse_grid("2 2 1\n1 0 0\n")
     with pytest.raises(PictureError):
         parse_grid("2 2 1\n1 0 0 z\n")
+    # an absurd bit depth is checked without building 1 << n: a value that
+    # cannot fit is a PictureError, and values that fit are accepted
+    with pytest.raises(PictureError):
+        parse_grid(f"1 2 {2 ** 62}\n0 -1\n")
+    assert parse_grid(f"1 2 {2 ** 62}\n0 1\n").values == (0, 1)
 
 
 def test_grid_round_trip():
