@@ -63,6 +63,9 @@ def format_grid(picture: Picture, comment: str | None = None) -> str:
 def parse_pgm(data: bytes, n: int = 1,
               pixel_cap: int = DEFAULT_PIXEL_CAP) -> Picture:
     """PGM P2 (ASCII) or P5 (binary), quantized to Gray-coded n-bit values."""
+    # maxval <= 65535 gives at most 2^16 gray levels
+    if not 1 <= n <= 16:
+        raise PictureError(f"PGM bit depth {n} outside 1..16")
     header, pos = _pgm_header_tokens(data)
     if len(header) < 4:
         raise PictureError("truncated PGM header")
@@ -95,8 +98,7 @@ def parse_pgm(data: bytes, n: int = 1,
         raise PictureError(f"expected {count} PGM samples, got {len(raw)}")
     if any(v < 0 or v > maxval for v in raw):
         raise PictureError("PGM sample exceeds maxval")
-    levels = 1 << n
-    values = [_gray_code(v * levels // (maxval + 1)) for v in raw]
+    values = [_gray_code((v << n) // (maxval + 1)) for v in raw]
     canvas = build_grid_canvas(width, height, pixel_cap=pixel_cap)
     return attach_picture(canvas, values, n)
 

@@ -1,20 +1,18 @@
 """Backtracking searches for consistent orientations of a stratum.
 
-One engine serves profile enumeration, F'-tangle enumeration and F-tangle
+One engine serves F'-tangle enumeration and F-tangle enumeration and
 existence.  It keeps an explicit assignment per separation pair and
 propagates to a fixed point after every decision:
 
 - consistency: a chosen side forces every stratum superset's pair toward
   the superset (the other orientation would be disjoint from a chosen
   side);
-- profile mode: two chosen sides force their intersection's pair toward
-  the intersection wherever that pair lies in the stratum (the profile
-  condition);
-- fprime/ftangle modes: the same, but only for co-pointing chosen sides
-  (sides whose union is everything) — avoiding the star {r, s, (r & s)*},
-  which for co-pointing r, s is both a void 3-star and a violator of the
-  profile condition;
-- ftangle mode additionally rejects single-pixel sides.
+- co-pointing chosen sides r, s (sides whose union is everything) force
+  their intersection's pair toward the intersection wherever that pair
+  lies in the stratum, avoiding the star {r, s, (r & s)*}, which is both
+  a void 3-star and a violator of the profile condition;
+- the F-tangle search additionally rejects single-pixel sides; this is
+  the only difference between it and the F'-tangle search.
 
 Each rule is a direct consequence of the orientation property being
 searched for, and each is detected the moment the last side of a
@@ -22,16 +20,24 @@ violating configuration is assigned: a violation always consists of sides
 x, y whose forced consequence contradicts a third assigned side, and the
 pairwise scan against all previously chosen sides runs on every
 assignment.  Leaves of the search are therefore exactly the orientations
-sought, with no post-filtering.  This module holds no checkers of its own:
-`duality.find_f_tangle` re-verifies every F-tangle hit with the
-definition-level `profiles.is_profile` and `profiles.is_focused`, and the
-test suite compares all three modes against brute-force oracles.
+sought, with no post-filtering.
+
+Profiles are assembled, not searched for.  A profile that chooses some
+{p} contains every side containing p, so it is the principal orientation
+toward p, and that orientation is a profile whenever {p} lies in the
+stratum.  A profile choosing no single pixel is exactly an F-tangle,
+since profiles are the F'-tangles (the footnote equivalence) and the
+F-tangles are the F'-tangles choosing no single pixel.
+
+This module holds no checkers of its own: `duality.find_f_tangle`
+re-verifies every F-tangle hit with the definition-level
+`profiles.is_profile` and `profiles.is_focused`, and the test suite
+compares both searches and the assembled profiles against brute-force
+oracles.
 """
 from __future__ import annotations
 
 from .sepsys import Stratum
-
-_MODES = ("profile", "fprime", "ftangle")
 
 
 class SearchDefect(RuntimeError):
@@ -44,25 +50,21 @@ def _is_full_universe(stratum: Stratum) -> bool:
 
 
 def _principal_orientations(stratum: Stratum) -> list[frozenset[int]]:
-    """The orientation toward each pixel of a full-universe stratum, in
-    pixel order.  That is the canonical order: for pixels p < q the
-    smallest side chosen by exactly one of the two is {p}, chosen toward p."""
+    """The orientation toward each pixel p with {p} in the stratum, in pixel
+    order.  That is the canonical order: for such pixels p < q the smallest
+    side chosen by exactly one of the two is {p}, chosen toward p."""
     full = stratum.full_mask
-    out = []
-    for p in range(full.bit_length()):
-        chosen = [c if c >> p & 1 else c ^ full for c in stratum.pairs]
-        chosen.append(full)
-        out.append(frozenset(chosen))
-    return out
+    return [frozenset([full, *(c if c >> p & 1 else c ^ full for c in stratum.pairs)])
+            for p in range(full.bit_length())
+            if stratum.pool.order_of(1 << p) < stratum.k]
 
 
 class _AssignmentSearch:
     """DPLL-style search over one side per pair, propagating to conflict
     or fixed point after each decision."""
 
-    def __init__(self, stratum: Stratum, mode: str):
-        assert mode in _MODES
-        self.mode = mode
+    def __init__(self, stratum: Stratum, unfocused: bool):
+        self.unfocused = unfocused   # reject single pixels: the F-tangle search
         self.full = stratum.full_mask
         # branch on small underlying sets first: they decide the most
         self.pairs = sorted(
@@ -84,7 +86,7 @@ class _AssignmentSearch:
         queue = [side]
         while queue:
             s = queue.pop()
-            if self.mode == "ftangle" and s.bit_count() == 1:
+            if self.unfocused and s.bit_count() == 1:
                 return None  # single-pixel star
             i = self.index[s]
             cur = self.status[i]
@@ -94,10 +96,9 @@ class _AssignmentSearch:
                 continue
             # forced intersections with previously chosen sides
             for y in self.chosen:
-                if self.mode == "profile" or y | s == self.full:
+                if y | s == self.full:
+                    # co-pointing sides of distinct pairs always meet
                     j = y & s
-                    if j == 0:
-                        return None  # disjoint chosen sides: inconsistent
                     pj = self.index.get(j)
                     if pj is not None:
                         if self.status[pj] is None:
@@ -160,39 +161,44 @@ class _AssignmentSearch:
                 return results
 
 
+def _f_tangles(stratum: Stratum, find_one: bool = False) -> list[frozenset[int]]:
+    """The consistent orientations avoiding void <=3-stars and single pixels
+    (all of them, or the first found)."""
+    if _is_full_universe(stratum):
+        # no avoiding orientation exists over the full universe: single
+        # pixels force every inverse of one in, and a minimal member m
+        # with p in m then closes the void 3-star {m, {p}*, (m minus p)*}
+        return []
+    return _AssignmentSearch(stratum, unfocused=True).run(find_one)
+
+
 # -- public entry points ------------------------------------------------------
 
 
 def enumerate_profile_orientations(stratum: Stratum) -> list[frozenset[int]]:
-    """All profiles of the stratum as chosen-side sets, canonically sorted."""
-    if _is_full_universe(stratum):
-        # over the full universe every profile is principal: if no single
-        # pixel is chosen then every inverse of one is, and for a minimal
-        # chosen member m with p in m the profile condition applied to m
-        # and {p}* forces m minus p in, descending to a single pixel
-        return _principal_orientations(stratum)
-    found = _AssignmentSearch(stratum, "profile").run()
-    return sorted(found, key=sorted)
+    """All profiles of the stratum as chosen-side sets, canonically sorted:
+    the principal orientations toward the pixels p with {p} in the stratum
+    (the focused profiles) and the F-tangles (the unfocused ones)."""
+    principal = _principal_orientations(stratum)
+    found = _f_tangles(stratum)
+    return sorted(principal + found, key=sorted) if found else principal
 
 
 def enumerate_fprime_orientations(stratum: Stratum) -> list[frozenset[int]]:
     """All consistent orientations avoiding stars of the form r, s, (r v s)*."""
     if _is_full_universe(stratum):
-        # as for profiles: the forcing star {m, {p}*, (m minus p)*} lies in
-        # F' whenever its members are present, which over the full universe
-        # they always are, so the same descent applies; conversely every
-        # principal orientation avoids F' since all its members share a pixel
+        # every F'-tangle is principal over the full universe: if no single
+        # pixel is chosen then every inverse of one is, and for a minimal
+        # chosen member m with p in m the star {m, {p}*, (m minus p)*} lies
+        # in F', its members all being present, so m minus p is chosen,
+        # descending to a single pixel; conversely every principal
+        # orientation avoids F' since all its members share a pixel
         return _principal_orientations(stratum)
-    found = _AssignmentSearch(stratum, "fprime").run()
+    found = _AssignmentSearch(stratum, unfocused=False).run()
     return sorted(found, key=sorted)
 
 
 def find_star_avoiding_orientation(stratum: Stratum) -> frozenset[int] | None:
     """One consistent orientation avoiding void <=3-stars and single pixels."""
-    if _is_full_universe(stratum):
-        # no avoiding orientation exists over the full universe: single
-        # pixels force every inverse of one in, and a minimal member m
-        # with p in m then closes the void 3-star {m, {p}*, (m minus p)*}
-        return None
-    hits = _AssignmentSearch(stratum, "ftangle").run(find_one=True)
+    hits = _f_tangles(stratum, find_one=True)
     return hits[0] if hits else None

@@ -83,6 +83,9 @@ def test_parse_pgm_errors():
         parse_pgm(b"P2\n1 1\n255\n300\n")
     with pytest.raises(PictureError):
         parse_pgm(b"P5\n2 2\n255\n\x00\x00")
+    for n in (-1, 17, 2**62):
+        with pytest.raises(PictureError):
+            parse_pgm(b"P2\n1 1\n255\n0\n", n=n)
 
 
 def test_format_pgm_round_trip():

@@ -165,12 +165,19 @@ def test_equivalence_classes_are_maximal_chains(name):
 
 @settings(deadline=None, max_examples=40)
 @given(random_weighted())
-def test_full_universe_profiles_are_principal_in_pixel_order(wc):
+def test_profiles_are_principal_orientations_plus_f_tangles(wc):
+    # every level of profile_levels, and the full universe on top
     pool = build_universe(wc)
-    top = pool.stratum(pool.max_order + 1)
-    toward = [_toward(top, p).chosen for p in range(wc.npixels)]
-    assert [p.chosen for p in enumerate_profiles(top)] == toward
-    assert sorted(toward, key=sorted) == toward
+    for k in sorted(set(profile_levels(pool)) | {pool.max_order + 1}):
+        stratum = pool.stratum(k)
+        profs = enumerate_profiles(stratum)
+        toward = [_toward(stratum, p).chosen for p in range(wc.npixels)
+                  if pool.order_of(1 << p) < k]
+        assert [p.chosen for p in profs if is_focused(p)] == toward
+        assert all(is_profile(p) for p in profs if not is_focused(p))
+        chosen = [p.chosen for p in profs]
+        assert sorted(chosen, key=sorted) == chosen
+        assert len(set(chosen)) == len(chosen)
 
 
 def test_regions_mono(wc_mono, pool_mono):
