@@ -55,15 +55,22 @@ def standard_F(stratum: Stratum) -> StarSetF:
 def find_f_tangle(stratum: Stratum) -> Profile | None:
     """An F-tangle of the stratum for the standard F, or None.
 
-    Every hit is re-verified to be an unfocused profile before it is
-    returned; a failure is an internal defect.
+    A level whose profiles the pool has already enumerated answers with
+    its first profile in side-set form (the unfocused ones); any other
+    level runs the find-one search.  Every hit is re-verified to be an
+    unfocused profile before it is returned; a failure is an internal
+    defect.
     """
-    chosen = find_star_avoiding_orientation(stratum)
-    if chosen is None:
+    listed = stratum.pool._profile_cache.get(stratum.k)
+    if listed is not None:
+        hit = next((p for p in listed if p.pixel is None), None)
+    else:
+        chosen = find_star_avoiding_orientation(stratum)
+        hit = None if chosen is None else Profile(stratum, chosen)
+    if hit is None:
         return None
     # this covers F-avoidance: single pixels fail as focused, and a void
     # <=3-star of an orientation is {x, y, (x & y)*}, a profile violation
-    hit = Profile(stratum, chosen)
     if is_focused(hit):
         raise SearchDefect("F-tangle search returned a focused orientation")
     if not is_profile(hit):

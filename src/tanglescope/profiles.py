@@ -2,21 +2,15 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 from .canvas import WeightedCanvas
-from .search import enumerate_profile_orientations
+from .search import enumerate_profile_orientations, principal_sides
 from .sepsys import SeparationPool, Stratum, build_universe
 
 
-@dataclass(frozen=True)
-class Orientation:
-    """One chosen orientation per separation of a stratum.
-
-    `chosen` holds the chosen side of every nondegenerate pair plus the
-    full pixel set (the forced orientation of the degenerate pair)."""
-
+class _OnStratum:
     stratum: Stratum
-    chosen: frozenset[int]
 
     @property
     def k(self) -> int:
@@ -28,15 +22,66 @@ class Orientation:
 
 
 @dataclass(frozen=True)
-class Profile(Orientation):
-    """A consistent orientation satisfying the profile condition."""
+class Orientation(_OnStratum):
+    """One chosen orientation per separation of a stratum.
+
+    `chosen` holds the chosen side of every nondegenerate pair plus the
+    full pixel set (the forced orientation of the degenerate pair)."""
+
+    stratum: Stratum
+    chosen: frozenset[int]
+    pixel: ClassVar[None] = None   # always stored by its sides
+
+
+@dataclass(frozen=True)
+class Profile(_OnStratum):
+    """A consistent orientation satisfying the profile condition, stored in
+    one of two forms.
+
+    - Pixel form (`pixel` set, `sides` None): a focused profile chooses
+      some {p}, so it is the principal orientation toward p, and the
+      stratum and p are the whole profile.  `chosen` is built from them
+      on each read and is not kept.
+    - Side-set form (`sides` set, `pixel` None): an unfocused profile (an
+      F-tangle), stored as its chosen sides.
+
+    A side set that is the principal orientation toward a pixel p with {p}
+    in the stratum is stored in pixel form, so each orientation has one
+    form, whichever way it was built, and the generated equality and
+    hashing hold across the two.  Restriction keeps the pixel form only
+    while {p} stays in the stratum: below order({p}) the principal
+    orientation toward p is unfocused, so `restrict` returns its side set,
+    equal to the F-tangle that level's enumeration lists.
+    """
+
+    stratum: Stratum
+    sides: frozenset[int] | None = None
+    pixel: int | None = None
+
+    def __post_init__(self):
+        if (self.sides is None) == (self.pixel is None):
+            raise ValueError("a profile is given by exactly one of sides and pixel")
+        if self.pixel is not None:
+            if self.pool.order_of(1 << self.pixel) >= self.k:
+                raise ValueError(f"{{{self.pixel}}} is not in the {self.k}-stratum")
+            return
+        pixel = next((s.bit_length() - 1 for s in self.sides if s.bit_count() == 1), None)
+        if pixel is not None and self.sides == principal_sides(self.stratum, pixel):
+            object.__setattr__(self, "sides", None)
+            object.__setattr__(self, "pixel", pixel)
+
+    @property
+    def chosen(self) -> frozenset[int]:
+        if self.sides is not None:
+            return self.sides
+        return principal_sides(self.stratum, self.pixel)
 
 
 def orientation_of(stratum: Stratum, chosen) -> Orientation:
     return Orientation(stratum, frozenset(chosen) | {stratum.full_mask})
 
 
-def is_profile(o: Orientation) -> bool:
+def is_profile(o: Orientation | Profile) -> bool:
     """Definition-level profile check, independent of the search engine."""
     full = o.stratum.full_mask
     chosen = o.chosen
@@ -67,7 +112,8 @@ def enumerate_profiles(stratum: Stratum) -> tuple[Profile, ...]:
     key = stratum.k
     if key not in cache:
         found = enumerate_profile_orientations(stratum)
-        cache[key] = tuple(Profile(stratum, chosen) for chosen in found)
+        cache[key] = tuple(Profile(stratum, pixel=o) if isinstance(o, int)
+                           else Profile(stratum, o) for o in found)
     return cache[key]
 
 
@@ -76,7 +122,13 @@ def restrict(p: Profile, ell: int) -> Profile:
     if ell > p.k:
         raise ValueError(f"cannot restrict a {p.k}-profile upward to {ell}")
     sub = p.pool.stratum(ell)
-    return Profile(sub, frozenset(s for s in p.chosen if s in sub))
+    if p.pixel is None:
+        return Profile(sub, frozenset(s for s in p.sides if s in sub))
+    if p.pool.order_of(1 << p.pixel) < ell:
+        return Profile(sub, pixel=p.pixel)
+    # {p} is not in the lower stratum, where the principal orientation
+    # toward p is unfocused: an F-tangle, stored by its sides
+    return Profile(sub, principal_sides(sub, p.pixel))
 
 
 def induces(p: Profile, q: Profile) -> bool:
@@ -85,12 +137,14 @@ def induces(p: Profile, q: Profile) -> bool:
     return restrict(p, q.k) == q
 
 
-def is_focused(p: Orientation) -> bool:
-    return any(s.bit_count() == 1 for s in p.chosen)
+def is_focused(p: Orientation | Profile) -> bool:
+    return p.pixel is not None or any(s.bit_count() == 1 for s in p.chosen)
 
 
-def is_principal(p: Orientation) -> bool:
+def is_principal(p: Orientation | Profile) -> bool:
     """True iff the profile is exactly 'everything containing some pixel p'."""
+    if p.pixel is not None:
+        return True
     full = p.stratum.full_mask
     for pix in range(full.bit_length()):
         bit = 1 << pix
@@ -100,14 +154,22 @@ def is_principal(p: Orientation) -> bool:
     return False
 
 
-def distinguishes(line_side: int, p: Orientation, q: Orientation) -> bool:
-    full = p.stratum.full_mask
-    other = line_side ^ full
-    return ((line_side in p.chosen and other in q.chosen)
-            or (other in p.chosen and line_side in q.chosen))
+def chooses(p: Orientation | Profile, side: int) -> bool:
+    """True iff p chooses `side`: in pixel form, iff side is in p's stratum
+    and contains the pixel."""
+    if p.pixel is None:
+        return side in p.chosen
+    return bool(side >> p.pixel & 1) and p.pool.order_of(side) < p.k
 
 
-def distinguishable(p: Orientation, q: Orientation) -> bool:
+def distinguishes(line_side: int, p: Orientation | Profile,
+                  q: Orientation | Profile) -> bool:
+    other = line_side ^ p.stratum.full_mask
+    return ((chooses(p, line_side) and chooses(q, other))
+            or (chooses(p, other) and chooses(q, line_side)))
+
+
+def distinguishable(p: Orientation | Profile, q: Orientation | Profile) -> bool:
     return not (p.chosen <= q.chosen or q.chosen <= p.chosen)
 
 

@@ -25,9 +25,17 @@ sought, with no post-filtering.
 Profiles are assembled, not searched for.  A profile that chooses some
 {p} contains every side containing p, so it is the principal orientation
 toward p, and that orientation is a profile whenever {p} lies in the
-stratum.  A profile choosing no single pixel is exactly an F-tangle,
-since profiles are the F'-tangles (the footnote equivalence) and the
-F-tangles are the F'-tangles choosing no single pixel.
+stratum.  A focused profile is therefore fixed by its pixel, and
+enumeration returns it as that pixel: its chosen sides are built (by
+`principal_sides`) only when something reads them, and never on a level
+without F-tangles, such as the full universe.  A profile choosing no
+single pixel is exactly an F-tangle, since profiles are the F'-tangles
+(the footnote equivalence) and the F-tangles are the F'-tangles choosing
+no single pixel; enumeration returns those as chosen-side sets.
+`profiles.Profile` keeps the two forms.  The principal orientation toward
+p restricted to a level where {p} is no longer a member is unfocused,
+hence one of that level's F-tangles, so `profiles.restrict` returns it as
+a side set there.
 
 This module holds no checkers of its own: `duality.find_f_tangle`
 re-verifies every F-tangle hit with the definition-level
@@ -49,14 +57,20 @@ def _is_full_universe(stratum: Stratum) -> bool:
     return len(stratum.pairs) == (1 << (npix - 1)) - 1
 
 
-def _principal_orientations(stratum: Stratum) -> list[frozenset[int]]:
-    """The orientation toward each pixel p with {p} in the stratum, in pixel
-    order.  That is the canonical order: for such pixels p < q the smallest
-    side chosen by exactly one of the two is {p}, chosen toward p."""
+def principal_sides(stratum: Stratum, pixel: int) -> frozenset[int]:
+    """The chosen sides of the principal orientation toward `pixel`: the
+    side containing it of every pair, and the full side."""
     full = stratum.full_mask
-    return [frozenset([full, *(c if c >> p & 1 else c ^ full for c in stratum.pairs)])
-            for p in range(full.bit_length())
-            if stratum.pool.order_of(1 << p) < stratum.k]
+    return frozenset([full, *(c if c >> pixel & 1 else c ^ full for c in stratum.pairs)])
+
+
+def _focus_pixels(stratum: Stratum) -> list[int]:
+    """The pixels p with {p} in the stratum, in pixel order.  That is the
+    canonical order of their principal orientations: for such p < q the
+    smallest side chosen by exactly one of the two is {p}, chosen toward p."""
+    pool = stratum.pool
+    return [p for p in range(stratum.full_mask.bit_length())
+            if pool.order_of(1 << p) < stratum.k]
 
 
 class _AssignmentSearch:
@@ -175,13 +189,18 @@ def _f_tangles(stratum: Stratum, find_one: bool = False) -> list[frozenset[int]]
 # -- public entry points ------------------------------------------------------
 
 
-def enumerate_profile_orientations(stratum: Stratum) -> list[frozenset[int]]:
-    """All profiles of the stratum as chosen-side sets, canonically sorted:
-    the principal orientations toward the pixels p with {p} in the stratum
-    (the focused profiles) and the F-tangles (the unfocused ones)."""
-    principal = _principal_orientations(stratum)
+def enumerate_profile_orientations(stratum: Stratum) -> list[int | frozenset[int]]:
+    """All profiles of the stratum, canonically sorted: each focused one as
+    its pixel p ({p} is in the stratum, and the profile is the principal
+    orientation toward p), each unfocused one (an F-tangle) as its set of
+    chosen sides.  Principal side sets are built only to merge the two
+    kinds in order, so a level without F-tangles builds none."""
+    pixels = _focus_pixels(stratum)
     found = _f_tangles(stratum)
-    return sorted(principal + found, key=sorted) if found else principal
+    if not found:
+        return pixels
+    return sorted(pixels + found, key=lambda o: sorted(
+        principal_sides(stratum, o) if isinstance(o, int) else o))
 
 
 def enumerate_fprime_orientations(stratum: Stratum) -> list[frozenset[int]]:
@@ -193,7 +212,7 @@ def enumerate_fprime_orientations(stratum: Stratum) -> list[frozenset[int]]:
         # in F', its members all being present, so m minus p is chosen,
         # descending to a single pixel; conversely every principal
         # orientation avoids F' since all its members share a pixel
-        return _principal_orientations(stratum)
+        return [principal_sides(stratum, p) for p in _focus_pixels(stratum)]
     found = _AssignmentSearch(stratum, unfocused=False).run()
     return sorted(found, key=sorted)
 

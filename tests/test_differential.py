@@ -20,6 +20,8 @@ _ORACLE_PAIRS = 12
 def test_engines_match_oracles_on_random_pictures(wc):
     pool = build_universe(wc)
     levels = profile_levels(pool)
+    # a pool with no enumerated level, so find_f_tangle runs the search
+    fresh = build_universe(wc)
     for k, profs in levels.items():
         stratum = pool.stratum(k)
         chosen = [p.chosen for p in profs]
@@ -28,12 +30,16 @@ def test_engines_match_oracles_on_random_pictures(wc):
             assert chosen == naive_profiles(stratum)
         # footnote equivalence: the F'-tangles are exactly the profiles
         assert [t.chosen for t in enumerate_f_prime_tangles(stratum)] == chosen
-        hit = find_f_tangle(stratum)
+        listed = find_f_tangle(stratum)
+        searched = find_f_tangle(fresh.stratum(k))
+        assert (listed is None) == (searched is None)
         if small:
             naive = [o for o in naive_tangles(stratum, StarSetF(stratum).enumerate())
                      if all(s.bit_count() != 1 for s in o)]
-            assert (hit is not None) == bool(naive)
-            assert hit is None or hit.chosen in naive
+            assert (searched is not None) == bool(naive)
+            for hit in (listed, searched):
+                assert hit is None or hit.chosen in naive
+    assert not fresh._profile_cache
     unfocused = [k for k, profs in levels.items()
                  if not all(is_focused(p) for p in profs)]
     assert max_supported_resolution(wc) == max(unfocused, default=0)

@@ -10,8 +10,8 @@ import pytest
 import tanglescope.duality as duality
 from corpus import TWELVE_PIXEL_PICTURES, one_pixel, picture, weighted
 from oracles import _consistent, all_orientations, naive_fprime_stars, naive_tangles
-from tanglescope import (analyze, build_chop_tree, build_universe, enumerate_profiles,
-                         find_f_tangle, is_focused, is_profile,
+from tanglescope import (Profile, analyze, build_chop_tree, build_universe,
+                         enumerate_profiles, find_f_tangle, is_focused, is_profile,
                          max_supported_resolution, standard_F,
                          verify_chop_tree, verify_duality)
 from tanglescope.duality import ChopNode, enumerate_f_prime_tangles, induced_subcanvas
@@ -97,6 +97,21 @@ def test_find_f_tangle_rejects_bad_hits(monkeypatch, fixture_name, k, wanted):
     bad = _first_orientation(stratum, wanted)
     monkeypatch.setattr(duality, "find_star_avoiding_orientation",
                         lambda s: bad)
+    with pytest.raises(SearchDefect):
+        find_f_tangle(stratum)
+
+
+@pytest.mark.parametrize("fixture_name, k, wanted", [
+    ("quad4x4", 3, lambda cons, prof, foc: not cons and not foc),
+    ("mono2x2", 2, lambda cons, prof, foc: cons and not prof and not foc),
+    ("mono2x2", 2, lambda cons, prof, foc: not prof and foc),
+], ids=["inconsistent", "non-profile", "focused-non-profile"])
+def test_find_f_tangle_rejects_bad_listed_hits(fixture_name, k, wanted):
+    # a level the pool has enumerated answers from its list, under the
+    # same re-check as the search
+    pool = build_universe(fixture_canvas(fixture_name))
+    stratum = pool.stratum(k)
+    pool._profile_cache[k] = (Profile(stratum, _first_orientation(stratum, wanted)),)
     with pytest.raises(SearchDefect):
         find_f_tangle(stratum)
 

@@ -1,13 +1,18 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 
-from corpus import SMALL_PICTURES, TWELVE_PIXEL_PICTURES, random_weighted, weighted, white2x2
+from corpus import (SMALL_PICTURES, TWELVE_PIXEL_PICTURES, picture, random_weighted,
+                    weighted, white2x2)
 from oracles import naive_profiles
-from tanglescope import (build_universe, distinguishable, distinguishes,
-                         enumerate_profiles, equivalent, induces, is_focused,
-                         is_principal, is_profile, refines, regions, restrict)
+from tanglescope import (Orientation, Profile, WeightedCanvas, build_universe,
+                         distinguishable, distinguishes, enumerate_profiles,
+                         equivalent, induces, is_focused, is_principal, is_profile,
+                         refines, regions, restrict)
+from tanglescope.duality import enumerate_f_prime_tangles
 from tanglescope.fixtures import fixture_canvas
 from tanglescope.profiles import equivalence_classes, orientation_of, profile_levels
 
@@ -26,7 +31,6 @@ def test_is_profile_examples(pool_mono):
     assert is_profile(orientation_of(s1, [0b1110]))
     assert is_profile(orientation_of(s1, [0b0001]))
     # missing the full side fails
-    from tanglescope.profiles import Orientation
     assert not is_profile(Orientation(s1, frozenset({0b1110})))
     # a direct violation: 0b1101 and 0b1011 chosen with the inverse of
     # their join 0b1001 chosen too
@@ -178,6 +182,56 @@ def test_profiles_are_principal_orientations_plus_f_tangles(wc):
         chosen = [p.chosen for p in profs]
         assert sorted(chosen, key=sorted) == chosen
         assert len(set(chosen)) == len(chosen)
+
+
+@settings(deadline=None, max_examples=30)
+@given(random_weighted(max_pixels=9))
+def test_pixel_form_agrees_with_side_sets(wc):
+    pool = build_universe(wc)
+    top = pool.stratum(pool.max_order + 1)
+    for k in sorted(set(profile_levels(pool)) | {top.k}):
+        stratum = pool.stratum(k)
+        profs = enumerate_profiles(stratum)
+        # one value per orientation, whichever form built it
+        assert set(profs) == set(enumerate_f_prime_tangles(stratum))
+        sides = [Orientation(stratum, p.chosen) for p in profs]
+        for p, o in zip(profs, sides):
+            assert Profile(stratum, p.chosen) == p
+            assert hash(Profile(stratum, p.chosen)) == hash(p)
+            assert (p.pixel is not None) == is_focused(p) == is_focused(o)
+            assert is_principal(p) == is_principal(o)
+            for q, o2 in zip(profs, sides):
+                for c in top.pairs:   # sides outside the stratum too
+                    assert distinguishes(c, p, q) == distinguishes(c, o, o2)
+        for p in profs:
+            if p.pixel is None:
+                continue
+            # {p} is in the stratum iff its order is below the stratum index
+            ell = pool.order_of(1 << p.pixel)
+            if ell + 1 <= k:
+                assert restrict(p, ell + 1).pixel == p.pixel
+            if ell >= 1:
+                below = restrict(p, ell)
+                assert below.pixel is None and not is_focused(below)
+                assert below in enumerate_profiles(pool.stratum(ell))
+                assert below.chosen == frozenset(
+                    s for s in p.chosen if s in pool.stratum(ell))
+
+
+def test_regions_keep_focused_profiles_by_pixel():
+    # the flat 5x4: every order is 0, so stratum 1 is the full universe
+    # (524,287 pairs) and its 20 profiles are all focused; side sets for
+    # them would take about 500 MiB
+    wc = WeightedCanvas.from_picture(picture(5, 4, [0] * 20))
+    pool = build_universe(wc, pixel_cap=20)
+    assert len(pool.stratum(1).pairs) == (1 << 19) - 1
+    tracemalloc.start()
+    try:
+        assert regions(wc, pool) == ()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
 
 
 def test_regions_mono(wc_mono, pool_mono):
