@@ -5,6 +5,7 @@ set of pixels doubles as one orientation of a bipartition of the canvas.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -13,6 +14,14 @@ DEFAULT_PIXEL_CAP = 20
 HARD_PIXEL_CAP = 32
 
 _ORDER_LIMIT = (1 << 32) - 1   # orders are stored as uint32
+
+
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the platform cannot say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
 
 
 class CanvasSizeError(ValueError):
@@ -173,11 +182,20 @@ class WeightedCanvas:
         on the way, but uint32 arithmetic is modulo 2^32 and every final
         order is at most the total edge weight, which `from_picture` keeps
         below 2^32, so each entry ends exact.
+
+        The table takes 4 * 2^n bytes; a table larger than the machine's
+        physical memory raises CanvasSizeError before anything is allocated.
         """
         cached = self._order_cache.get("orders")
         if cached is not None:
             return cached
         n = self.npixels
+        need = 4 << n   # one uint32 per subset
+        memory = _physical_memory()
+        if memory is not None and need > memory:
+            raise CanvasSizeError(
+                f"the order table of {n} pixels needs {need} bytes, more than "
+                f"the {memory} bytes of physical memory")
         gain = [0] * n
         lower: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         for (a, b), d in zip(self.canvas.edges, self.delta):

@@ -17,10 +17,33 @@ propagates to a fixed point after every decision:
 Each rule is a direct consequence of the orientation property being
 searched for, and each is detected the moment the last side of a
 violating configuration is assigned: a violation always consists of sides
-x, y whose forced consequence contradicts a third assigned side, and the
-pairwise scan against all previously chosen sides runs on every
-assignment.  Leaves of the search are therefore exactly the orientations
+x, y whose forced consequence contradicts a third assigned side, and each
+assignment checks the new side against every chosen side it co-points
+with.  Leaves of the search are therefore exactly the orientations
 sought, with no post-filtering.
+
+Forcing runs on Python-int bitsets over the pair indices.  One column per
+pixel p, built once per search from the pairs' bit matrix, has bit i set
+iff p lies in the canonical side of pair i.  The pairs whose canonical
+side contains a side s are then the AND of the columns of the pixels of
+s, and the pairs whose other side contains s the AND of the complemented
+columns; the two masks are cached per side for the life of the search.
+With `as_c` and `as_d` the pairs whose canonical or other side is chosen:
+
+- superset forcing takes the two superset masks of s, restricted to the
+  free pairs;
+- the chosen sides co-pointing with s are the chosen supersets of s*,
+  `(sup_c(s*) & as_c) | (sup_d(s*) & as_d)`, and each one's intersection
+  with s is looked up by side;
+- a side forced as a superset of s skips its own superset forcing: its
+  supersets are supersets of s, and the free ones were queued with it.
+  It still runs its co-pointing check;
+- the next decision is the lowest free pair at or after the last one.
+
+Forcing is monotone, so the closure of a decision, or the conflict it
+runs into, does not depend on the order in which the queue is worked
+off, and the search visits the same leaves in the same order as a scan
+over every pair per assignment would.
 
 Profiles are assembled, not searched for.  A profile that chooses some
 {p} contains every side containing p, so it is the principal orientation
@@ -44,6 +67,8 @@ compares both searches and the assembled profiles against brute-force
 oracles.
 """
 from __future__ import annotations
+
+import numpy as np
 
 from .sepsys import Stratum
 
@@ -73,6 +98,23 @@ def _focus_pixels(stratum: Stratum) -> list[int]:
             if pool.order_of(1 << p) < stratum.k]
 
 
+def _bits(mask: int):
+    """The indices of the set bits of `mask`, lowest first."""
+    if mask.bit_count() < 64:
+        while mask:
+            low = mask & -mask
+            yield low.bit_length() - 1
+            mask ^= low
+    else:
+        # many bits: one pass over the binary digits is cheaper than an
+        # AND and an XOR over every word of the mask per bit
+        digits = bin(mask)[:1:-1]
+        i = digits.find("1")
+        while i >= 0:
+            yield i
+            i = digits.find("1", i + 1)
+
+
 class _AssignmentSearch:
     """DPLL-style search over one side per pair, propagating to conflict
     or fixed point after each decision."""
@@ -91,51 +133,89 @@ class _AssignmentSearch:
             self.index[c ^ self.full] = i
         self.status: list[int | None] = [None] * len(self.pairs)
         self.chosen: list[int] = []
+        # bitsets over pair indices: the pairs whose canonical side (as_c)
+        # or whose other side (as_d) is chosen
+        self.all = (1 << len(self.pairs)) - 1
+        self.as_c = 0
+        self.as_d = 0
+        # pixel columns: bit i of incl[p] is set iff pixel p is in pairs[i].
+        # Sides fit in 32 bits (HARD_PIXEL_CAP), so transposing the pairs'
+        # little-endian bit matrix gives every column at once
+        sides = np.array(self.pairs, dtype="<u4").view(np.uint8).reshape(-1, 4)
+        columns = np.packbits(np.unpackbits(sides, axis=1, bitorder="little").T,
+                              axis=1, bitorder="little")
+        self.incl = [int.from_bytes(col.tobytes(), "little")
+                     for col in columns[:self.full.bit_length()]]
+        self.excl = [col ^ self.all for col in self.incl]
+        self._supersets_of: dict[int, tuple[int, int]] = {}
+
+    def _supersets(self, side: int) -> tuple[int, int]:
+        """The pairs whose canonical side contains `side`, and those whose
+        other side does, as bitsets (cached for the life of the search)."""
+        masks = self._supersets_of.get(side)
+        if masks is None:
+            sup_c = sup_d = self.all
+            for p in _bits(side):
+                sup_c &= self.incl[p]
+                sup_d &= self.excl[p]
+            masks = self._supersets_of[side] = (sup_c, sup_d)
+        return masks
 
     def _propagate(self, side: int) -> int | None:
         """Assign `side` and close under forcing.  Returns the number of
         assignments made, or None on conflict (caller rolls back using
         the length of self.chosen recorded beforehand)."""
+        full, pairs, index, status = self.full, self.pairs, self.index, self.status
         made = 0
-        queue = [side]
+        # (side, whether its supersets still need forcing)
+        queue = [(side, True)]
         while queue:
-            s = queue.pop()
+            s, scan = queue.pop()
             if self.unfocused and s.bit_count() == 1:
                 return None  # single-pixel star
-            i = self.index[s]
-            cur = self.status[i]
+            i = index[s]
+            cur = status[i]
             if cur is not None:
                 if cur != s:
                     return None
                 continue
-            # forced intersections with previously chosen sides
-            for y in self.chosen:
-                if y | s == self.full:
-                    # co-pointing sides of distinct pairs always meet
-                    j = y & s
-                    pj = self.index.get(j)
-                    if pj is not None:
-                        if self.status[pj] is None:
-                            queue.append(j)
-                        elif self.status[pj] != j:
-                            return None  # {s, y, j*} fully present
-            self.status[i] = s
+            # forced intersections with the chosen sides y co-pointing with
+            # s (y | s == full): exactly the chosen supersets of s*.  Sides
+            # of distinct pairs that co-point always meet
+            sup_c, sup_d = self._supersets(s ^ full)
+            for py in _bits((sup_c & self.as_c) | (sup_d & self.as_d)):
+                j = status[py] & s
+                pj = index.get(j)
+                if pj is not None:
+                    if status[pj] is None:
+                        queue.append((j, True))
+                    elif status[pj] != j:
+                        return None  # {s, y, j*} fully present
+            status[i] = s
             self.chosen.append(s)
+            if s == pairs[i]:
+                self.as_c |= 1 << i
+            else:
+                self.as_d |= 1 << i
             made += 1
-            # consistency: every stratum superset of s is forced
-            for pk, c in enumerate(self.pairs):
-                if self.status[pk] is None:
-                    d = c ^ self.full
-                    if c & s == s:
-                        queue.append(c)
-                    elif d & s == s:
-                        queue.append(d)
+            # consistency: every stratum superset of s is forced.  A side
+            # forced here skips this step: its supersets are supersets of s
+            if scan:
+                sup_c, sup_d = self._supersets(s)
+                free = self.all ^ (self.as_c | self.as_d)
+                queue.extend((pairs[j], False) for j in _bits(sup_c & free))
+                queue.extend((pairs[j] ^ full, False) for j in _bits(sup_d & free))
         return made
 
     def _rollback(self, count: int) -> None:
         for _ in range(count):
             s = self.chosen.pop()
-            self.status[self.index[s]] = None
+            i = self.index[s]
+            self.status[i] = None
+            if s == self.pairs[i]:
+                self.as_c ^= 1 << i
+            else:
+                self.as_d ^= 1 << i
 
     def run(self, find_one: bool = False) -> list[frozenset[int]]:
         results: list[frozenset[int]] = []
@@ -144,13 +224,14 @@ class _AssignmentSearch:
         stack: list[list] = []
         start = 0
         while True:
-            i = next((j for j in range(start, len(self.pairs))
-                      if self.status[j] is None), None)
-            if i is None:
+            # the lowest free pair at or after start
+            free = (self.all ^ (self.as_c | self.as_d)) >> start
+            if not free:
                 results.append(frozenset(self.chosen) | {self.full})
                 if find_one:
                     return results
             else:
+                i = start + (free & -free).bit_length() - 1
                 c = self.pairs[i]
                 d = c ^ self.full
                 sides = [c, d] if d.bit_count() >= c.bit_count() else [d, c]

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from corpus import (SMALL_PICTURES, lshape3x3, one_pixel, picture, rand4x5,
                     random_weighted, weighted, white2x2)
-from tanglescope import (CanvasSizeError, PictureError, WeightedCanvas,
+from tanglescope import (CanvasSizeError, PictureError, WeightedCanvas, analyze,
                          attach_picture, boundary, build_grid_canvas,
                          edge_weight, fixture, suggest_N)
+from tanglescope import canvas as canvas_module
 from tanglescope.duality import induced_subcanvas
 
 
@@ -166,6 +167,27 @@ def test_all_orders_large_offset():
         WeightedCanvas.from_picture(fixture("mono2x2"), 1 << 32)
     with pytest.raises(PictureError):
         WeightedCanvas.from_picture(picture(2, 1, [0, 0]), 1 << 32)
+
+
+def test_order_table_over_physical_memory_is_refused(monkeypatch):
+    # the memory probe is patched, so nothing near the limit is allocated
+    wc = weighted(white2x2)   # 4 pixels: a 4 * 2^4 = 64-byte table
+    monkeypatch.setattr(canvas_module, "_physical_memory", lambda: 63)
+    with pytest.raises(CanvasSizeError, match="needs 64 bytes"):
+        wc.all_orders()
+    monkeypatch.setattr(canvas_module, "_physical_memory", lambda: 64)
+    assert wc.all_orders().tolist() == [wc.order(a) for a in range(16)]
+    # 32 pixels at the hard cap would ask for a 16 GiB table
+    big = WeightedCanvas.from_picture(picture(8, 4, [0] * 32, pixel_cap=32))
+    monkeypatch.setattr(canvas_module, "_physical_memory", lambda: (16 << 30) - 1)
+    with pytest.raises(CanvasSizeError, match=f"needs {16 << 30} bytes"):
+        analyze(big, pixel_cap=32)
+    assert not big._order_cache
+
+
+def test_physical_memory_probe():
+    memory = canvas_module._physical_memory()
+    assert memory is None or memory > 0
 
 
 @pytest.mark.parametrize("name", sorted(SMALL_PICTURES))

@@ -3,10 +3,12 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tanglescope import (PictureError, analyze, decode_report, encode_report,
-                         fixture, format_grid, format_pgm, parse_grid,
-                         parse_pgm, render_mask, render_svg)
+from tanglescope import (CanvasSizeError, PictureError, analyze, decode_report,
+                         encode_report, fixture, format_grid, format_pgm,
+                         parse_grid, parse_pgm, render_mask, render_svg)
 from tanglescope.cli import main
 from tanglescope.fixtures import fixture_canvas
 
@@ -86,6 +88,60 @@ def test_parse_pgm_errors():
     for n in (-1, 17, 2**62):
         with pytest.raises(PictureError):
             parse_pgm(b"P2\n1 1\n255\n0\n", n=n)
+
+
+# -- parser fuzzing: any input either parses or raises a typed error ----------
+
+_SIDE = st.integers(-2, 7)
+_TOKEN = st.one_of(st.integers(-3, 70).map(str),
+                   st.integers(0, 1 << 40).map(lambda v: f"{v:x}"),
+                   st.sampled_from(["", "-", "x", "0x1", "1_0", "ff#", "#",
+                                    "\u0663", "9" * 5000]))
+
+
+@st.composite
+def _grid_texts(draw):
+    width, height = draw(_SIDE), draw(_SIDE)
+    count = draw(st.one_of(st.just(max(width * height, 0)), st.integers(0, 30)))
+    if draw(st.booleans()):
+        header = [str(width), str(height), str(draw(st.integers(-1, 70)))]
+    else:
+        header = draw(st.lists(_TOKEN, min_size=3, max_size=3))
+    body = draw(st.lists(_TOKEN, min_size=count, max_size=count))
+    return "# fuzz\n" + " ".join(header) + "\n" + " ".join(body)
+
+
+@st.composite
+def _pgm_files(draw):
+    magic = draw(st.sampled_from([b"P2", b"P5", b"P6", b"P"]))
+    width, height = draw(_SIDE), draw(_SIDE)
+    maxval = draw(st.sampled_from([-1, 0, 1, 3, 255, 256, 65535, 65536]))
+    header = b"%s\n# fuzz\n%d %d\n%d\n" % (magic, width, height, maxval)
+    if magic == b"P2":
+        samples = draw(st.lists(st.integers(-2, 70000), max_size=30))
+        return header + " ".join(map(str, samples)).encode()
+    return header + draw(st.binary(max_size=100))
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.one_of(st.text(), _grid_texts()))
+def test_parse_grid_raises_only_typed_errors(text):
+    try:
+        pic = parse_grid(text)
+    except (PictureError, CanvasSizeError):
+        return
+    assert len(pic.values) == pic.canvas.npixels
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.one_of(st.binary(), _pgm_files()), st.integers(-1, 18))
+def test_parse_pgm_raises_only_typed_errors(data, n):
+    try:
+        pic = parse_pgm(data, n=n)
+    except (PictureError, CanvasSizeError):
+        return
+    assert len(pic.values) == pic.canvas.npixels
+    assert all(v < 1 << n for v in pic.values)
 
 
 def test_format_pgm_round_trip():
