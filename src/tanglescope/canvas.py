@@ -17,7 +17,8 @@ _ORDER_LIMIT = (1 << 32) - 1   # orders are stored as uint32
 
 
 def _physical_memory() -> int | None:
-    """Bytes of physical memory, or None where the platform cannot say."""
+    """Bytes of the host's physical memory, or None where the platform
+    cannot say.  A lower container or cgroup memory limit is not read."""
     try:
         return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
@@ -183,8 +184,10 @@ class WeightedCanvas:
         order is at most the total edge weight, which `from_picture` keeps
         below 2^32, so each entry ends exact.
 
-        The table takes 4 * 2^n bytes; a table larger than the machine's
+        The table takes 4 * 2^n bytes; a table larger than the host's
         physical memory raises CanvasSizeError before anything is allocated.
+        A process limited below that (by a container or cgroup) can still be
+        killed by the limit while building a table that passes the check.
         """
         cached = self._order_cache.get("orders")
         if cached is not None:

@@ -27,7 +27,7 @@ pixel p, built once per search from the pairs' bit matrix, has bit i set
 iff p lies in the canonical side of pair i.  The pairs whose canonical
 side contains a side s are then the AND of the columns of the pixels of
 s, and the pairs whose other side contains s the AND of the complemented
-columns; the two masks are cached per side for the life of the search.
+columns; the two masks are computed when needed, not kept.
 With `as_c` and `as_d` the pairs whose canonical or other side is chosen:
 
 - superset forcing takes the two superset masks of s, restricted to the
@@ -100,19 +100,10 @@ def _focus_pixels(stratum: Stratum) -> list[int]:
 
 def _bits(mask: int):
     """The indices of the set bits of `mask`, lowest first."""
-    if mask.bit_count() < 64:
-        while mask:
-            low = mask & -mask
-            yield low.bit_length() - 1
-            mask ^= low
-    else:
-        # many bits: one pass over the binary digits is cheaper than an
-        # AND and an XOR over every word of the mask per bit
-        digits = bin(mask)[:1:-1]
-        i = digits.find("1")
-        while i >= 0:
-            yield i
-            i = digits.find("1", i + 1)
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class _AssignmentSearch:
@@ -147,19 +138,15 @@ class _AssignmentSearch:
         self.incl = [int.from_bytes(col.tobytes(), "little")
                      for col in columns[:self.full.bit_length()]]
         self.excl = [col ^ self.all for col in self.incl]
-        self._supersets_of: dict[int, tuple[int, int]] = {}
 
     def _supersets(self, side: int) -> tuple[int, int]:
         """The pairs whose canonical side contains `side`, and those whose
-        other side does, as bitsets (cached for the life of the search)."""
-        masks = self._supersets_of.get(side)
-        if masks is None:
-            sup_c = sup_d = self.all
-            for p in _bits(side):
-                sup_c &= self.incl[p]
-                sup_d &= self.excl[p]
-            masks = self._supersets_of[side] = (sup_c, sup_d)
-        return masks
+        other side does, as bitsets."""
+        sup_c = sup_d = self.all
+        for p in _bits(side):
+            sup_c &= self.incl[p]
+            sup_d &= self.excl[p]
+        return sup_c, sup_d
 
     def _propagate(self, side: int) -> int | None:
         """Assign `side` and close under forcing.  Returns the number of

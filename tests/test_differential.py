@@ -1,5 +1,5 @@
 """Differential net: the search engines against the brute-force oracles and
-the definition-level verifiers, on random pictures of at most 12 pixels."""
+the definition-level verifiers, on random pictures of at most 11 pixels."""
 from __future__ import annotations
 
 from hypothesis import given, settings
@@ -16,7 +16,7 @@ _ORACLE_PAIRS = 12
 
 
 @settings(deadline=None, max_examples=50)
-@given(random_weighted(max_pixels=12))
+@given(random_weighted(max_pixels=11))
 def test_engines_match_oracles_on_random_pictures(wc):
     pool = build_universe(wc)
     levels = profile_levels(pool)

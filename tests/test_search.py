@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from corpus import picture, rand4x5, weighted
 from oracles import ReferenceSearch
 from tanglescope import WeightedCanvas, build_universe, suggest_N
-from tanglescope.search import _AssignmentSearch, _bits, _is_full_universe
+from tanglescope.search import _AssignmentSearch, _is_full_universe
 
 # more pairs than one 64-bit word; the upper bound keeps the reference cheap
 _MIN_PAIRS, _MAX_PAIRS = 65, 250
@@ -54,11 +54,3 @@ def test_superset_masks_match_a_direct_scan():
         assert sup_d == sum(1 << i for i, c in enumerate(search.pairs)
                             if (c ^ full) & side == side)
 
-
-def test_bits_lists_set_bits_lowest_first():
-    # sparse masks take the per-bit path, masks of 64 or more bits the
-    # binary-digit path
-    masks = [0, 1, 1 << 200, (1 << 63) - 1, (1 << 64) - 1, (1 << 130) - 2,
-             sum(1 << i for i in range(1, 5000, 3))]
-    for mask in masks:
-        assert list(_bits(mask)) == [i for i in range(mask.bit_length()) if mask >> i & 1]
