@@ -4,7 +4,7 @@ from .canvas import (Canvas, CanvasSizeError, Picture, PictureError,
                      WeightedCanvas, attach_picture, boundary,
                      build_grid_canvas, edge_weight, suggest_N)
 from .duality import (ChopTree, StarSetF, build_chop_tree, find_f_tangle,
-                      induced_subcanvas, max_supported_resolution, standard_F,
+                      induced_subcanvas, max_supported_resolution,
                       verify_chop_tree, verify_duality)
 from .fixtures import FIXTURE_NAMES, fixture, fixture_canvas
 from .io import format_grid, format_pgm, load_picture, parse_grid, parse_pgm

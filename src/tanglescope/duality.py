@@ -3,7 +3,10 @@ maximum supported resolution of a picture."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
+
+import numpy as np
 
 from .canvas import DEFAULT_PIXEL_CAP, Canvas, Picture, WeightedCanvas
 from .profiles import Profile, is_focused, is_profile
@@ -46,10 +49,6 @@ class StarSetF:
                 if combo in self:
                     out.append(frozenset(combo))
         return out
-
-
-def standard_F(stratum: Stratum) -> StarSetF:
-    return StarSetF(stratum)
 
 
 def find_f_tangle(stratum: Stratum) -> Profile | None:
@@ -115,7 +114,16 @@ class ChopTree:
 
 def build_chop_tree(wc: WeightedCanvas, k: int,
                     pool: SeparationPool | None = None) -> ChopTree | None:
-    """The dual witness: recursively split parts by lines of order below k."""
+    """The dual witness: split the pixel set recursively along lines of
+    order below k, down to single pixels, or None if no such tree exists.
+
+    `chop(part)` tries each split of part into two stratum sides c1 < c2:
+    c1 is a side inside part, read with numpy off the array of every
+    stratum side, and c2 = part ^ c1 passes when its order in the table is
+    below k.  It keeps the first split whose halves both chop.  Halves are
+    strictly smaller parts, so the memoised recursion ends and is
+    exhaustive over splits; the roots are the two halves of the full set.
+    """
     if k < 1:
         raise ValueError("k must be at least 1")
     if wc.npixels == 0:
@@ -124,43 +132,25 @@ def build_chop_tree(wc: WeightedCanvas, k: int,
         return ChopTree(k, (ChopNode(wc.full_mask, ()),))
     if pool is None:
         pool = build_universe(wc)
-    full = pool.full_mask
-    stratum = pool.stratum(k)
-    sides = sorted(stratum.pairs + tuple(c ^ full for c in stratum.pairs),
-                   key=lambda s: (pool.order_of(s), s))
-    side_set = set(sides)
-    memo: dict[int, ChopNode | None] = {}
+    orders = pool.wc.all_orders()
+    pairs = np.array(pool.stratum(k).pairs, dtype=np.int64)
+    sides = np.concatenate((pairs, pairs ^ pool.full_mask))
 
-    def choppable(part: int) -> ChopNode | None:
+    @cache
+    def chop(part: int) -> ChopNode | None:
         if part.bit_count() == 1:
             return ChopNode(part, ())
-        if part in memo:
-            return memo[part]
-        memo[part] = None   # cycle-safe; overwritten on success
-        candidates = []
-        for c1 in sides:
-            if c1 & part == c1 and c1 != part:
-                c2 = part & ~c1
-                if c1 < c2 and c2 in side_set:
-                    candidates.append((max(pool.order_of(c1),
-                                           pool.order_of(c2)), c1, c2))
-        for _, c1, c2 in sorted(candidates):
-            left, right = choppable(c1), choppable(c2)
-            if left is not None and right is not None:
-                memo[part] = ChopNode(part, (left, right))
-                break
-        return memo[part]
+        inside = sides[(sides & ~part) == 0]
+        rest = inside ^ part
+        for c1 in inside[(inside < rest) & (orders[rest] < k)].tolist():
+            left = chop(c1)
+            right = left and chop(part ^ c1)
+            if right:
+                return ChopNode(part, (left, right))
+        return None
 
-    for a in sides:
-        if a & 1:
-            continue   # root halves canonically: pixel 0 in the second part
-        b = a ^ full
-        if b not in side_set:
-            continue
-        left, right = choppable(a), choppable(b)
-        if left is not None and right is not None:
-            return ChopTree(k, (left, right))
-    return None
+    root = chop(pool.full_mask)
+    return None if root is None else ChopTree(k, root.children)
 
 
 @dataclass(frozen=True)

@@ -56,14 +56,14 @@ class SeparationPool:
         return cached
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Stratum:
     """All oriented separations of order below k, closed under inversion.
 
-    A pool builds one Stratum per k and memoises it.  `pairs` holds the
-    canonical side of every line, sorted by (order, side); `members`, both
-    sides of every pair plus 0 and the full side, is derived from `pairs`
-    on first use."""
+    A pool builds one Stratum per k and memoises it, so strata compare and
+    hash by identity, as pools do.  `pairs` holds the canonical side of
+    every line, sorted by (order, side); `members`, both sides of every
+    pair plus 0 and the full side, is derived from `pairs` on first use."""
 
     pool: SeparationPool
     k: int

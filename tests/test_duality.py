@@ -10,11 +10,12 @@ import pytest
 import tanglescope.duality as duality
 from corpus import TWELVE_PIXEL_PICTURES, one_pixel, picture, weighted
 from oracles import _consistent, all_orientations, naive_fprime_stars, naive_tangles
-from tanglescope import (Profile, analyze, build_chop_tree, build_universe,
-                         enumerate_profiles, find_f_tangle, is_focused, is_profile,
-                         max_supported_resolution, standard_F,
-                         verify_chop_tree, verify_duality)
-from tanglescope.duality import ChopNode, enumerate_f_prime_tangles, induced_subcanvas
+from tanglescope import (Profile, StarSetF, WeightedCanvas, analyze, build_chop_tree,
+                         build_universe, enumerate_profiles, find_f_tangle, is_focused,
+                         is_profile, max_supported_resolution, verify_chop_tree,
+                         verify_duality)
+from tanglescope.duality import (ChopNode, ChopTree, enumerate_f_prime_tangles,
+                                 induced_subcanvas)
 from tanglescope.fixtures import fixture_canvas, noisedisc_masks
 from tanglescope.profiles import orientation_of
 from tanglescope.search import SearchDefect
@@ -22,7 +23,7 @@ from tanglescope.search import SearchDefect
 
 def test_standard_f_membership(pool_mono):
     s2 = pool_mono.stratum(2)
-    f = standard_F(s2)
+    f = StarSetF(s2)
     assert frozenset({0b0001}) in f            # single pixel
     assert frozenset({0}) in f                 # void 1-star
     full = pool_mono.full_mask
@@ -32,14 +33,14 @@ def test_standard_f_membership(pool_mono):
     assert star not in f
     s3 = pool_mono.stratum(3)
     void3 = frozenset({0b0111, 0b0011 ^ full, 0b0100 ^ full})
-    assert void3 in standard_F(s3)
+    assert void3 in StarSetF(s3)
     # non-void triple with a shared pixel
-    assert frozenset({0b1110, 0b1101, 0b1011}) not in standard_F(s3)
+    assert frozenset({0b1110, 0b1101, 0b1011}) not in StarSetF(s3)
 
 
 def test_standard_f_enumerate_matches_membership(pool_mono):
     s2 = pool_mono.stratum(2)
-    f = standard_F(s2)
+    f = StarSetF(s2)
     from itertools import combinations
     members = sorted(s2.members)
     expected = [frozenset(c) for r in (1, 2, 3)
@@ -70,7 +71,7 @@ def test_f_tangle_matches_naive_oracle():
             stratum = pool.stratum(k)
             if len(stratum.pairs) > 12:
                 continue
-            stars = standard_F(stratum).enumerate()
+            stars = StarSetF(stratum).enumerate()
             naive = [o for o in naive_tangles(stratum, stars)
                      if all(s.bit_count() != 1 for s in o)]
             hit = find_f_tangle(stratum)
@@ -183,9 +184,31 @@ def _replace_in_tree(tree, target, new):
         _replace_node(r, target, new) for r in tree.roots))
 
 
+def _leaf(pixel):
+    return ChopNode(1 << pixel, ())
+
+
+# a valid quad4x4 chop tree at k=6, written out so that the mutations below
+# do not depend on which splits the search picks: the roots are the right
+# and left halves, each split into its top and bottom quadrant, and each
+# quadrant peeled off one pixel at a time
+QUAD_TREE = ChopTree(6, (
+    ChopNode(52428, (
+        ChopNode(204, (_leaf(6), ChopNode(140, (
+            _leaf(2), ChopNode(136, (_leaf(3), _leaf(7))))))),
+        ChopNode(52224, (_leaf(10), ChopNode(51200, (
+            _leaf(11), ChopNode(49152, (_leaf(14), _leaf(15))))))))),
+    ChopNode(13107, (
+        ChopNode(51, (_leaf(4), ChopNode(35, (
+            _leaf(0), ChopNode(34, (_leaf(1), _leaf(5))))))),
+        ChopNode(13056, (_leaf(8), ChopNode(12800, (
+            _leaf(9), ChopNode(12288, (_leaf(12), _leaf(13))))))))),
+))
+
+
 def test_verify_chop_tree_mutations(wc_quad, pool_quad):
     # each mutation of a valid quad4x4 tree fails its own flag
-    tree = build_chop_tree(wc_quad, 6, pool_quad)
+    tree = QUAD_TREE
     assert verify_chop_tree(tree, wc_quad, pool_quad).ok
     full = pool_quad.full_mask
     first = tree.roots[0]
@@ -237,6 +260,17 @@ def test_chop_tree_one_pixel():
         tree = build_chop_tree(wc, k)
         assert tree is not None and len(tree.roots) == 1
         assert verify_chop_tree(tree, wc).ok
+
+
+def test_chop_tree_full_universe():
+    # the flat 5x4: every order is 0, so stratum 1 is the full universe
+    # (524,287 pairs, above CHOP_TREE_PAIR_LIMIT) and every split is a line
+    wc = WeightedCanvas.from_picture(picture(5, 4, [0] * 20))
+    pool = build_universe(wc, pixel_cap=20)
+    assert len(pool.stratum(1).pairs) == (1 << 19) - 1
+    tree = build_chop_tree(wc, 1, pool)
+    assert tree is not None
+    assert verify_chop_tree(tree, wc, pool).ok
 
 
 def test_chop_tree_rejects_bad_k(wc_mono):
