@@ -17,8 +17,10 @@ from .sepsys import (SeparationPool, Stratum, build_universe, nested_sides,
 
 _ENUMERATE_LIMIT = 400
 
-# chop-tree searches are quadratic in the stratum size; above this many
-# pairs a duality report records the tree side as not attempted
+# above this many pairs a duality report records the tree side as not
+# attempted.  Only the glyph25 bench reference, which records the flat
+# 5x4's k=1 verdict as skipped, still needs it: that tree builds and
+# verifies in well under a second
 CHOP_TREE_PAIR_LIMIT = 40000
 
 
@@ -54,15 +56,14 @@ class StarSetF:
 def find_f_tangle(stratum: Stratum) -> Profile | None:
     """An F-tangle of the stratum for the standard F, or None.
 
-    A level whose profiles the pool has already enumerated answers with
-    its first profile in side-set form (the unfocused ones); any other
-    level runs the find-one search.  Every hit is re-verified to be an
-    unfocused profile before it is returned; a failure is an internal
-    defect.
+    A level whose F-tangles the pool has already listed (`f_tangles`)
+    answers with the first of them; any other level runs the find-one
+    search.  Every hit is re-verified to be an unfocused profile before
+    it is returned; a failure is an internal defect.
     """
-    listed = stratum.pool._profile_cache.get(stratum.k)
+    listed = stratum.pool._f_tangles.get(stratum.k)
     if listed is not None:
-        hit = next((p for p in listed if p.pixel is None), None)
+        hit = listed[0] if listed else None
     else:
         chosen = find_star_avoiding_orientation(stratum)
         hit = None if chosen is None else Profile(stratum, chosen)
@@ -150,6 +151,9 @@ def build_chop_tree(wc: WeightedCanvas, k: int,
         return None
 
     root = chop(pool.full_mask)
+    # chop reaches itself through its closure: unbind it, or the memo and
+    # the side array wait for the cyclic garbage collector
+    chop = None
     return None if root is None else ChopTree(k, root.children)
 
 

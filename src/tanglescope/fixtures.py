@@ -78,8 +78,8 @@ def fixture(name: str) -> Picture:
                          f"choose from {', '.join(FIXTURE_NAMES)}") from None
 
 
-def fixture_canvas(name: str, N: int | None = None) -> WeightedCanvas:
-    return WeightedCanvas.from_picture(fixture(name), N)
+def fixture_canvas(name: str) -> WeightedCanvas:
+    return WeightedCanvas.from_picture(fixture(name))
 
 
 def noisedisc_masks() -> tuple[int, int]:

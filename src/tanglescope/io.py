@@ -126,13 +126,11 @@ def _pgm_header_tokens(data: bytes) -> tuple[list[bytes], int]:
     return tokens, i
 
 
-def format_pgm(values, width: int, height: int, maxval: int | None = None) -> bytes:
+def format_pgm(values, width: int, height: int, maxval: int) -> bytes:
     """Plain (P2) PGM for small masks."""
     values = list(values)
     if len(values) != width * height:
         raise PictureError("mask size does not match dimensions")
-    if maxval is None:
-        maxval = max(1, max(values, default=1))
     rows = [" ".join(str(v) for v in values[r * width:(r + 1) * width])
             for r in range(height)]
     text = f"P2\n{width} {height}\n{maxval}\n" + "\n".join(rows) + "\n"

@@ -1,16 +1,24 @@
 """Profiles of strata, their enumeration, equivalence classes and regions."""
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import ClassVar
+from itertools import count
 
 from .canvas import WeightedCanvas
 from .search import enumerate_profile_orientations, principal_sides
 from .sepsys import SeparationPool, Stratum, build_universe
 
 
-class _OnStratum:
+@dataclass(frozen=True)
+class Orientation:
+    """One chosen orientation per separation of a stratum.
+
+    `chosen` holds the chosen side of every nondegenerate pair plus the
+    full pixel set (the forced orientation of the degenerate pair)."""
+
     stratum: Stratum
+    chosen: frozenset[int]
 
     @property
     def k(self) -> int:
@@ -22,66 +30,22 @@ class _OnStratum:
 
 
 @dataclass(frozen=True)
-class Orientation(_OnStratum):
-    """One chosen orientation per separation of a stratum.
+class Profile(Orientation):
+    """A consistent orientation satisfying the profile condition, stored
+    as its chosen sides.
 
-    `chosen` holds the chosen side of every nondegenerate pair plus the
-    full pixel set (the forced orientation of the degenerate pair)."""
-
-    stratum: Stratum
-    chosen: frozenset[int]
-    pixel: ClassVar[None] = None   # always stored by its sides
-
-
-@dataclass(frozen=True)
-class Profile(_OnStratum):
-    """A consistent orientation satisfying the profile condition, stored in
-    one of two forms.
-
-    - Pixel form (`pixel` set, `sides` None): a focused profile chooses
-      some {p}, so it is the principal orientation toward p, and the
-      stratum and p are the whole profile.  `chosen` is built from them
-      on each read and is not kept.
-    - Side-set form (`sides` set, `pixel` None): an unfocused profile (an
-      F-tangle), stored as its chosen sides.
-
-    A side set that is the principal orientation toward a pixel p with {p}
-    in the stratum is stored in pixel form, so each orientation has one
-    form, whichever way it was built, and the generated equality and
-    hashing hold across the two.  Restriction keeps the pixel form only
-    while {p} stays in the stratum: below order({p}) the principal
-    orientation toward p is unfocused, so `restrict` returns its side set,
-    equal to the F-tangle that level's enumeration lists.
+    A focused profile chooses some {p}, so it is the principal orientation
+    toward p; `enumerate_profiles` builds those, and nothing on the
+    `analyze` path does: regions count them by pixel (see `regions`).  An
+    unfocused profile is an F-tangle (`f_tangles`).
     """
-
-    stratum: Stratum
-    sides: frozenset[int] | None = None
-    pixel: int | None = None
-
-    def __post_init__(self):
-        if (self.sides is None) == (self.pixel is None):
-            raise ValueError("a profile is given by exactly one of sides and pixel")
-        if self.pixel is not None:
-            if self.pool.order_of(1 << self.pixel) >= self.k:
-                raise ValueError(f"{{{self.pixel}}} is not in the {self.k}-stratum")
-            return
-        pixel = next((s.bit_length() - 1 for s in self.sides if s.bit_count() == 1), None)
-        if pixel is not None and self.sides == principal_sides(self.stratum, pixel):
-            object.__setattr__(self, "sides", None)
-            object.__setattr__(self, "pixel", pixel)
-
-    @property
-    def chosen(self) -> frozenset[int]:
-        if self.sides is not None:
-            return self.sides
-        return principal_sides(self.stratum, self.pixel)
 
 
 def orientation_of(stratum: Stratum, chosen) -> Orientation:
     return Orientation(stratum, frozenset(chosen) | {stratum.full_mask})
 
 
-def is_profile(o: Orientation | Profile) -> bool:
+def is_profile(o: Orientation) -> bool:
     """Definition-level profile check, independent of the search engine."""
     full = o.stratum.full_mask
     chosen = o.chosen
@@ -107,14 +71,22 @@ def is_profile(o: Orientation | Profile) -> bool:
 
 
 def enumerate_profiles(stratum: Stratum) -> tuple[Profile, ...]:
-    """The complete, canonically ordered list of profiles of the stratum."""
-    cache = stratum.pool._profile_cache
-    key = stratum.k
-    if key not in cache:
-        found = enumerate_profile_orientations(stratum)
-        cache[key] = tuple(Profile(stratum, pixel=o) if isinstance(o, int)
-                           else Profile(stratum, o) for o in found)
-    return cache[key]
+    """The complete, canonically ordered list of profiles of the stratum:
+    the principal orientations toward the pixels p with {p} in the
+    stratum, and the F-tangles.  Built on each call; nothing is cached."""
+    pixels, tangles = enumerate_profile_orientations(stratum)
+    found = [principal_sides(stratum, p) for p in pixels] + tangles
+    return tuple(Profile(stratum, o) for o in sorted(found, key=sorted))
+
+
+def f_tangles(stratum: Stratum) -> tuple[Profile, ...]:
+    """The unfocused profiles of the stratum (its F-tangles), canonically
+    ordered and memoised on the pool."""
+    cache = stratum.pool._f_tangles
+    if stratum.k not in cache:
+        cache[stratum.k] = tuple(
+            Profile(stratum, o) for o in enumerate_profile_orientations(stratum)[1])
+    return cache[stratum.k]
 
 
 def restrict(p: Profile, ell: int) -> Profile:
@@ -122,13 +94,7 @@ def restrict(p: Profile, ell: int) -> Profile:
     if ell > p.k:
         raise ValueError(f"cannot restrict a {p.k}-profile upward to {ell}")
     sub = p.pool.stratum(ell)
-    if p.pixel is None:
-        return Profile(sub, frozenset(s for s in p.sides if s in sub))
-    if p.pool.order_of(1 << p.pixel) < ell:
-        return Profile(sub, pixel=p.pixel)
-    # {p} is not in the lower stratum, where the principal orientation
-    # toward p is unfocused: an F-tangle, stored by its sides
-    return Profile(sub, principal_sides(sub, p.pixel))
+    return Profile(sub, frozenset(s for s in p.chosen if s in sub))
 
 
 def induces(p: Profile, q: Profile) -> bool:
@@ -137,14 +103,12 @@ def induces(p: Profile, q: Profile) -> bool:
     return restrict(p, q.k) == q
 
 
-def is_focused(p: Orientation | Profile) -> bool:
-    return p.pixel is not None or any(s.bit_count() == 1 for s in p.chosen)
+def is_focused(p: Orientation) -> bool:
+    return any(s.bit_count() == 1 for s in p.chosen)
 
 
-def is_principal(p: Orientation | Profile) -> bool:
+def is_principal(p: Orientation) -> bool:
     """True iff the profile is exactly 'everything containing some pixel p'."""
-    if p.pixel is not None:
-        return True
     full = p.stratum.full_mask
     for pix in range(full.bit_length()):
         bit = 1 << pix
@@ -154,22 +118,28 @@ def is_principal(p: Orientation | Profile) -> bool:
     return False
 
 
-def chooses(p: Orientation | Profile, side: int) -> bool:
-    """True iff p chooses `side`: in pixel form, iff side is in p's stratum
-    and contains the pixel."""
-    if p.pixel is None:
-        return side in p.chosen
-    return bool(side >> p.pixel & 1) and p.pool.order_of(side) < p.k
+def focused_children(q: Profile) -> list[int]:
+    """The pixels p whose focused (k+1)-profile induces the F-tangle q.
+
+    That profile is the principal orientation toward p, and it restricts
+    to the principal one toward p at k.  This is q exactly when p lies in
+    every side q chooses, and it is unfocused, as q is, exactly when {p}
+    is not in the k-stratum: order({p}) = k, since {p} is in the
+    (k+1)-stratum."""
+    common = q.pool.full_mask
+    for s in q.chosen:
+        common &= s
+    return [p for p in range(common.bit_length())
+            if common >> p & 1 and q.pool.order_of(1 << p) == q.k]
 
 
-def distinguishes(line_side: int, p: Orientation | Profile,
-                  q: Orientation | Profile) -> bool:
+def distinguishes(line_side: int, p: Orientation, q: Orientation) -> bool:
     other = line_side ^ p.stratum.full_mask
-    return ((chooses(p, line_side) and chooses(q, other))
-            or (chooses(p, other) and chooses(q, line_side)))
+    return ((line_side in p.chosen and other in q.chosen)
+            or (other in p.chosen and line_side in q.chosen))
 
 
-def distinguishable(p: Orientation | Profile, q: Orientation | Profile) -> bool:
+def distinguishable(p: Orientation, q: Orientation) -> bool:
     return not (p.chosen <= q.chosen or q.chosen <= p.chosen)
 
 
@@ -224,44 +194,49 @@ def profile_levels(pool: SeparationPool) -> dict[int, tuple[Profile, ...]]:
     return levels
 
 
-def equivalence_classes(pool: SeparationPool) -> list[tuple[Profile, ...]]:
-    """All equivalence classes of profiles reachable below the focus horizon.
+def regions(wc: WeightedCanvas, pool: SeparationPool | None = None) -> tuple[Region, ...]:
+    """All regions of the picture: the equivalence classes of profiles
+    with no focused member, read off the F-tangle levels.
 
     A class is a maximal chain of unique extensions: a k-profile is
-    equivalent to the (k-1)-profile it induces exactly when it is the only
-    k-profile inducing it."""
-    levels = profile_levels(pool)
-    ks = sorted(levels)
-    children: dict[Profile, list[Profile]] = {}
-    for k in ks[1:]:
-        for p in levels[k]:
-            children.setdefault(restrict(p, k - 1), []).append(p)
-    classes = []
-    starts = list(levels[ks[0]])
-    for k in ks[1:]:
-        for p in levels[k]:
-            if len(children[restrict(p, k - 1)]) != 1:
-                starts.append(p)
-    for q in starts:
-        chain = [q]
-        while True:
-            ext = children.get(chain[-1], [])
-            if len(ext) != 1:
-                break
-            chain.append(ext[0])
-        classes.append(tuple(chain))
-    # starts come level by level, each level in canonical order, so the
-    # classes are sorted by (level, chosen sides) of their first member
-    return classes
-
-
-def regions(wc: WeightedCanvas, pool: SeparationPool | None = None) -> tuple[Region, ...]:
-    """Discover all regions of the picture: unfocused equivalence classes."""
+    equivalent to the (k-1)-profile q it induces exactly when it is the
+    only k-profile inducing q.  Restrictions of unfocused profiles are
+    unfocused, so a region is a chain of F-tangles.  Each k-tangle finds
+    its q by one restriction, and the focused k-profiles inducing q are
+    counted by pixel (`focused_children`), never built.  A chain starts
+    at a level-1 F-tangle or where q has other extensions, and goes on
+    while its last member has exactly one extension; if that one is
+    focused, the class is not a region.  The walk stops after the first
+    level without F-tangles.  Regions come level by level, each level in
+    canonical order of first members."""
     if pool is None:
         pool = build_universe(wc)
-    out = [Region(chain) for chain in equivalence_classes(pool)
-           if not any(is_focused(p) for p in chain)]
-    return tuple(out)
+    chains: list[list[Profile] | None] = []   # None: the class goes on focused
+    tips: dict[Profile, int] = {}             # last level's F-tangles -> their chains
+    for k in count(1):
+        level = f_tangles(pool.stratum(k))
+        parents = [restrict(t, k - 1) if k > 1 else None for t in level]
+        kids = Counter(parents)
+        single = set()   # the tips whose one extension is an F-tangle
+        for q, i in tips.items():
+            focused = len(focused_children(q))
+            if kids[q] + focused == 1:
+                if focused:
+                    chains[i] = None
+                else:
+                    single.add(q)
+        if not level:
+            break
+        grown: dict[Profile, int] = {}
+        for t, q in zip(level, parents):
+            if q in single:
+                grown[t] = tips[q]
+                chains[tips[q]].append(t)
+            else:
+                grown[t] = len(chains)
+                chains.append([t])
+        tips = grown
+    return tuple(Region(tuple(c)) for c in chains if c is not None)
 
 
 def refines(sigma: Region, rho: Region) -> bool:

@@ -2,13 +2,14 @@
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 
 from .canvas import DEFAULT_PIXEL_CAP, WeightedCanvas
 from .duality import verify_duality
 from .profiles import Profile, refines, regions, restrict
 from .sepsys import build_universe
-from .treeset import (TreeSet, build_distinguishing_tree_set, outline,
-                      splitting_stars, verify_tree_set)
+from .treeset import (TreeSet, TreeSetReport, build_distinguishing_tree_set,
+                      outline, splitting_stars, verify_tree_set)
 
 SCHEMA_VERSION = 1
 
@@ -39,18 +40,9 @@ def analyze(wc: WeightedCanvas,
     if len(reps) >= 2:
         tree = build_distinguishing_tree_set(reps, pool)
         tree_report = verify_tree_set(tree, reps, pool)
-        tree_ok = tree_report.ok
-        tree_verified = {
-            "laminar": tree_report.laminar,
-            "efficiency": tree_report.efficiency,
-            "minimality": tree_report.minimality,
-            "bijection": tree_report.bijection,
-        }
     else:
         tree = TreeSet(pool, ())
-        tree_ok = True
-        tree_verified = {"laminar": True, "efficiency": True,
-                         "minimality": True, "bijection": True}
+        tree_report = TreeSetReport(True, True, True, True)
 
     # one sweep gives the verdicts and the resolution: F-tangle existence
     # is downward-closed in k, so stop after the first k without one
@@ -106,11 +98,11 @@ def analyze(wc: WeightedCanvas,
             "max_supported_resolution": resolution,
         },
         "verified": {
-            "tree_set": tree_verified,
+            "tree_set": asdict(tree_report),
             "duality": duality_ok,
         },
     }
-    return report, tree_ok and duality_ok is not False
+    return report, tree_report.ok and duality_ok is not False
 
 
 def encode_report(report: dict) -> str:

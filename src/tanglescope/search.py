@@ -48,17 +48,14 @@ over every pair per assignment would.
 Profiles are assembled, not searched for.  A profile that chooses some
 {p} contains every side containing p, so it is the principal orientation
 toward p, and that orientation is a profile whenever {p} lies in the
-stratum.  A focused profile is therefore fixed by its pixel, and
-enumeration returns it as that pixel: its chosen sides are built (by
-`principal_sides`) only when something reads them, and never on a level
-without F-tangles, such as the full universe.  A profile choosing no
-single pixel is exactly an F-tangle, since profiles are the F'-tangles
-(the footnote equivalence) and the F-tangles are the F'-tangles choosing
-no single pixel; enumeration returns those as chosen-side sets.
-`profiles.Profile` keeps the two forms.  The principal orientation toward
-p restricted to a level where {p} is no longer a member is unfocused,
-hence one of that level's F-tangles, so `profiles.restrict` returns it as
-a side set there.
+stratum.  A profile choosing no single pixel is exactly an F-tangle,
+since profiles are the F'-tangles (the footnote equivalence) and the
+F-tangles are the F'-tangles choosing no single pixel.  Enumeration
+therefore returns the focus pixels and the F-tangles, and builds no
+principal side set: `profiles.enumerate_profiles` builds them for a
+complete level, and `profiles.regions` never does: it needs only the
+number of focused profiles inducing each F-tangle, which it reads off the
+pixels' orders (`profiles.focused_children`).
 
 This module holds no checkers of its own: `duality.find_f_tangle`
 re-verifies every F-tangle hit with the definition-level
@@ -257,18 +254,12 @@ def _f_tangles(stratum: Stratum, find_one: bool = False) -> list[frozenset[int]]
 # -- public entry points ------------------------------------------------------
 
 
-def enumerate_profile_orientations(stratum: Stratum) -> list[int | frozenset[int]]:
-    """All profiles of the stratum, canonically sorted: each focused one as
-    its pixel p ({p} is in the stratum, and the profile is the principal
-    orientation toward p), each unfocused one (an F-tangle) as its set of
-    chosen sides.  Principal side sets are built only to merge the two
-    kinds in order, so a level without F-tangles builds none."""
-    pixels = _focus_pixels(stratum)
-    found = _f_tangles(stratum)
-    if not found:
-        return pixels
-    return sorted(pixels + found, key=lambda o: sorted(
-        principal_sides(stratum, o) if isinstance(o, int) else o))
+def enumerate_profile_orientations(stratum: Stratum) -> tuple[list[int], list[frozenset[int]]]:
+    """The profiles of the stratum in two parts: the pixels p with {p} in
+    the stratum, in pixel order (the focused profile toward p is the
+    principal orientation toward p), and the F-tangles as chosen-side
+    sets, sorted canonically."""
+    return _focus_pixels(stratum), sorted(_f_tangles(stratum), key=sorted)
 
 
 def enumerate_fprime_orientations(stratum: Stratum) -> list[frozenset[int]]:

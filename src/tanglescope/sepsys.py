@@ -23,7 +23,7 @@ class SeparationPool:
     def __init__(self, wc: WeightedCanvas):
         self.wc = wc
         self.full_mask = wc.full_mask
-        self._profile_cache: dict[int, tuple] = {}
+        self._f_tangles: dict[int, tuple] = {}   # profiles.f_tangles, by k
         self._strata: dict[int, Stratum] = {}
 
     # -- orders --------------------------------------------------------------

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .profiles import Profile, Region, chooses, distinguishable, distinguishes
+from .profiles import Profile, Region, distinguishable, distinguishes
 from .search import SearchDefect
 from .sepsys import SeparationPool, consistent_sides, nested_sides
 
@@ -60,7 +60,7 @@ def _oriented_by(p: Profile, t: TreeSet) -> frozenset[int]:
     """The sides of t's lines that p chooses: p's partial orientation of t."""
     full = t.full_mask
     return frozenset(side for line in t.lines
-                     for side in (line.side, line.side ^ full) if chooses(p, side))
+                     for side in (line.side, line.side ^ full) if side in p.chosen)
 
 
 def min_distinguishers(p: Profile, q: Profile, pool: SeparationPool) -> frozenset[Line]:

@@ -9,7 +9,7 @@ from oracles import naive_profiles, naive_tangles
 from tanglescope import (StarSetF, analyze, build_universe, find_f_tangle,
                          is_focused, max_supported_resolution, verify_duality)
 from tanglescope.duality import enumerate_f_prime_tangles
-from tanglescope.profiles import profile_levels
+from tanglescope.profiles import f_tangles, profile_levels
 
 # the oracles enumerate 2^pairs orientations
 _ORACLE_PAIRS = 12
@@ -20,10 +20,12 @@ _ORACLE_PAIRS = 12
 def test_engines_match_oracles_on_random_pictures(wc):
     pool = build_universe(wc)
     levels = profile_levels(pool)
-    # a pool with no enumerated level, so find_f_tangle runs the search
+    # a pool with no listed level, so find_f_tangle runs the search
     fresh = build_universe(wc)
     for k, profs in levels.items():
         stratum = pool.stratum(k)
+        # list the level's F-tangles, so find_f_tangle reads the list
+        assert list(f_tangles(stratum)) == [p for p in profs if not is_focused(p)]
         chosen = [p.chosen for p in profs]
         small = len(stratum.pairs) <= _ORACLE_PAIRS
         if small:
@@ -39,7 +41,7 @@ def test_engines_match_oracles_on_random_pictures(wc):
             assert (searched is not None) == bool(naive)
             for hit in (listed, searched):
                 assert hit is None or hit.chosen in naive
-    assert not fresh._profile_cache
+    assert not fresh._f_tangles
     unfocused = [k for k, profs in levels.items()
                  if not all(is_focused(p) for p in profs)]
     assert max_supported_resolution(wc) == max(unfocused, default=0)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import subprocess
 import sys
 from pathlib import Path
@@ -112,7 +113,7 @@ def test_find_f_tangle_rejects_bad_listed_hits(fixture_name, k, wanted):
     # same re-check as the search
     pool = build_universe(fixture_canvas(fixture_name))
     stratum = pool.stratum(k)
-    pool._profile_cache[k] = (Profile(stratum, _first_orientation(stratum, wanted)),)
+    pool._f_tangles[k] = (Profile(stratum, _first_orientation(stratum, wanted)),)
     with pytest.raises(SearchDefect):
         find_f_tangle(stratum)
 
@@ -268,7 +269,14 @@ def test_chop_tree_full_universe():
     wc = WeightedCanvas.from_picture(picture(5, 4, [0] * 20))
     pool = build_universe(wc, pixel_cap=20)
     assert len(pool.stratum(1).pairs) == (1 << 19) - 1
-    tree = build_chop_tree(wc, 1, pool)
+    # the build leaves no reference cycle for the collector to free
+    gc.collect()
+    gc.disable()
+    try:
+        tree = build_chop_tree(wc, 1, pool)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
     assert tree is not None
     assert verify_chop_tree(tree, wc, pool).ok
 

@@ -8,13 +8,12 @@ from hypothesis import given, settings
 from corpus import (SMALL_PICTURES, TWELVE_PIXEL_PICTURES, picture, random_weighted,
                     weighted, white2x2)
 from oracles import naive_profiles
-from tanglescope import (Orientation, Profile, WeightedCanvas, build_universe,
+from tanglescope import (Orientation, WeightedCanvas, build_universe,
                          distinguishable, distinguishes, enumerate_profiles,
                          equivalent, induces, is_focused, is_principal, is_profile,
                          refines, regions, restrict)
-from tanglescope.duality import enumerate_f_prime_tangles
 from tanglescope.fixtures import fixture_canvas
-from tanglescope.profiles import equivalence_classes, orientation_of, profile_levels
+from tanglescope.profiles import focused_children, orientation_of, profile_levels
 
 
 def _toward(stratum, pixel):
@@ -149,22 +148,31 @@ def test_equivalence_is_an_equivalence(pool_mono):
 
 @pytest.mark.parametrize("name", sorted(TWELVE_PIXEL_PICTURES) + ["quad4x4"])
 def test_equivalence_classes_are_maximal_chains(name):
+    # the regions are the equivalence classes with no focused member
     wc = (fixture_canvas(name) if name == "quad4x4"
           else weighted(TWELVE_PIXEL_PICTURES[name]))
     pool = build_universe(wc)
     levels = profile_levels(pool)
-    classes = equivalence_classes(pool)
-    members = [p for chain in classes for p in chain]
-    assert sorted(members, key=lambda p: (p.k, sorted(p.chosen))) == sorted(
-        (p for profs in levels.values() for p in profs),
-        key=lambda p: (p.k, sorted(p.chosen)))
-    assert len(set(members)) == len(members)
-    for chain in classes:
+    rs = regions(wc, pool)
+    members = [p for rho in rs for p in rho.members]
+    in_regions = set(members)
+    assert len(in_regions) == len(members)
+    assert not any(is_focused(p) for p in members)
+    for rho in rs:
+        chain = rho.members
         for lo, hi in zip(chain, chain[1:]):
             assert hi.k == lo.k + 1 and equivalent(lo, hi)
-        first = chain[0]
+        first, last = chain[0], chain[-1]
         if first.k > 1:
             assert not equivalent(first, restrict(first, first.k - 1))
+        assert not any(equivalent(last, r)
+                       for r in enumerate_profiles(pool.stratum(last.k + 1)))
+    # every other unfocused profile lies in a class with a focused member
+    focused = [p for profs in levels.values() for p in profs if is_focused(p)]
+    others = [p for profs in levels.values() for p in profs
+              if not is_focused(p) and p not in in_regions]
+    for u in others:
+        assert any(equivalent(u, f) for f in focused if f.k > u.k)
 
 
 @settings(deadline=None, max_examples=40)
@@ -184,44 +192,30 @@ def test_profiles_are_principal_orientations_plus_f_tangles(wc):
         assert len(set(chosen)) == len(chosen)
 
 
-@settings(deadline=None, max_examples=30)
-@given(random_weighted(max_pixels=9))
-def test_pixel_form_agrees_with_side_sets(wc):
+@settings(deadline=None, max_examples=40)
+@given(random_weighted(max_pixels=10))
+def test_focused_children_match_restriction(wc):
+    # on complete levels: the focused k-profiles that restrict to each
+    # (k-1)-tangle are the principal orientations toward its focused
+    # children, in pixel order
     pool = build_universe(wc)
-    top = pool.stratum(pool.max_order + 1)
-    for k in sorted(set(profile_levels(pool)) | {top.k}):
-        stratum = pool.stratum(k)
-        profs = enumerate_profiles(stratum)
-        # one value per orientation, whichever form built it
-        assert set(profs) == set(enumerate_f_prime_tangles(stratum))
-        sides = [Orientation(stratum, p.chosen) for p in profs]
-        for p, o in zip(profs, sides):
-            assert Profile(stratum, p.chosen) == p
-            assert hash(Profile(stratum, p.chosen)) == hash(p)
-            assert (p.pixel is not None) == is_focused(p) == is_focused(o)
-            assert is_principal(p) == is_principal(o)
-            for q, o2 in zip(profs, sides):
-                for c in top.pairs:   # sides outside the stratum too
-                    assert distinguishes(c, p, q) == distinguishes(c, o, o2)
-        for p in profs:
-            if p.pixel is None:
+    levels = profile_levels(pool)
+    for k in sorted(levels)[1:]:
+        above = [p for p in levels[k] if is_focused(p)]
+        for q in levels[k - 1]:
+            if is_focused(q):
                 continue
-            # {p} is in the stratum iff its order is below the stratum index
-            ell = pool.order_of(1 << p.pixel)
-            if ell + 1 <= k:
-                assert restrict(p, ell + 1).pixel == p.pixel
-            if ell >= 1:
-                below = restrict(p, ell)
-                assert below.pixel is None and not is_focused(below)
-                assert below in enumerate_profiles(pool.stratum(ell))
-                assert below.chosen == frozenset(
-                    s for s in p.chosen if s in pool.stratum(ell))
+            inducing = [p for p in above if restrict(p, k - 1) == q]
+            pixels = [next(s for s in p.chosen if s.bit_count() == 1).bit_length() - 1
+                      for p in inducing]
+            assert focused_children(q) == pixels
 
 
-def test_regions_keep_focused_profiles_by_pixel():
+def test_regions_never_build_focused_profiles():
     # the flat 5x4: every order is 0, so stratum 1 is the full universe
     # (524,287 pairs) and its 20 profiles are all focused; side sets for
-    # them would take about 500 MiB
+    # them would take about 500 MiB, and regions stop at this level
+    # without F-tangles
     wc = WeightedCanvas.from_picture(picture(5, 4, [0] * 20))
     pool = build_universe(wc, pixel_cap=20)
     assert len(pool.stratum(1).pairs) == (1 << 19) - 1
