@@ -15,7 +15,7 @@ from .profiles import (Orientation, Profile, Region, distinguishable,
 from .render import render_mask, render_svg
 from .report import analyze, decode_report, encode_report
 from .sepsys import SeparationPool, Stratum, build_universe
-from .treeset import (Line, TreeSet, build_distinguishing_tree_set,
+from .treeset import (TreeSet, build_distinguishing_tree_set,
                       consistent_orientations, min_distinguishers, outline,
                       splitting_stars, verify_tree_set)
 

@@ -6,7 +6,9 @@ set of pixels doubles as one orientation of a bipartition of the canvas.
 from __future__ import annotations
 
 import os
+from contextlib import suppress
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -14,15 +16,20 @@ DEFAULT_PIXEL_CAP = 20
 HARD_PIXEL_CAP = 32
 
 _ORDER_LIMIT = (1 << 32) - 1   # orders are stored as uint32
+_CGROUP_MEMORY_MAX = "/sys/fs/cgroup/memory.max"
 
 
 def _physical_memory() -> int | None:
-    """Bytes of the host's physical memory, or None where the platform
-    cannot say.  A lower container or cgroup memory limit is not read."""
-    try:
-        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
-        return None
+    """Bytes of memory the process may use: the host's physical memory or
+    the cgroup v2 memory limit, whichever is smaller, or None where
+    neither can be read.  A limit of "max" or an unreadable limit file
+    leaves the host's figure."""
+    figures = []
+    with suppress(AttributeError, ValueError, OSError):
+        figures.append(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
+    with suppress(OSError, ValueError):   # a limit of "max" raises ValueError
+        figures.append(int(Path(_CGROUP_MEMORY_MAX).read_text()))
+    return min(figures, default=None)
 
 
 class CanvasSizeError(ValueError):
@@ -185,9 +192,8 @@ class WeightedCanvas:
         below 2^32, so each entry ends exact.
 
         The table takes 4 * 2^n bytes; a table larger than the host's
-        physical memory raises CanvasSizeError before anything is allocated.
-        A process limited below that (by a container or cgroup) can still be
-        killed by the limit while building a table that passes the check.
+        physical memory or the cgroup v2 memory limit raises
+        CanvasSizeError before anything is allocated.
         """
         cached = self._order_cache.get("orders")
         if cached is not None:
@@ -198,7 +204,7 @@ class WeightedCanvas:
         if memory is not None and need > memory:
             raise CanvasSizeError(
                 f"the order table of {n} pixels needs {need} bytes, more than "
-                f"the {memory} bytes of physical memory")
+                f"the {memory} bytes of memory the process may use")
         gain = [0] * n
         lower: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         for (a, b), d in zip(self.canvas.edges, self.delta):

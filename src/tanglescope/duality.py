@@ -12,7 +12,7 @@ from .canvas import DEFAULT_PIXEL_CAP, Canvas, Picture, WeightedCanvas
 from .profiles import Profile, is_focused, is_profile
 from .search import (SearchDefect, enumerate_fprime_orientations,
                      find_star_avoiding_orientation)
-from .sepsys import (SeparationPool, Stratum, build_universe, nested_sides,
+from .sepsys import (SeparationPool, Stratum, build_universe, laminar_sides,
                      star_sides, void_sides)
 
 _ENUMERATE_LIMIT = 400
@@ -179,8 +179,7 @@ def verify_chop_tree(tree: ChopTree, wc: WeightedCanvas,
     nodes = list(tree.nodes())
     parts = [n.part for n in nodes]
 
-    laminar = all(nested_sides(a, b, full)
-                  for i, a in enumerate(parts) for b in parts[i + 1:])
+    laminar = laminar_sides(parts, full)
     orders_below_k = all(
         pool.order_of(n.part) < tree.k for n in nodes if 0 < n.part < full
     ) and (len(tree.roots) == 1
@@ -240,18 +239,15 @@ class DualityReport:
         )
 
 
-def verify_duality(wc: WeightedCanvas, k: int,
-                   pool: SeparationPool | None = None) -> DualityReport:
+def verify_duality(pool: SeparationPool, k: int) -> DualityReport:
     """Run both sides of the dichotomy; exactly one must succeed.  The
     chop-tree side is skipped above CHOP_TREE_PAIR_LIMIT pairs."""
-    if pool is None:
-        pool = build_universe(wc)
     stratum = pool.stratum(k)
     tangle = find_f_tangle(stratum)
     if len(stratum.pairs) > CHOP_TREE_PAIR_LIMIT:
         return DualityReport(k, tangle, None, None, True)
-    tree = build_chop_tree(wc, k, pool)
-    report = verify_chop_tree(tree, wc, pool) if tree is not None else None
+    tree = build_chop_tree(pool.wc, k, pool)
+    report = verify_chop_tree(tree, pool.wc, pool) if tree is not None else None
     return DualityReport(k, tangle, tree, report, False)
 
 

@@ -5,9 +5,8 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import count
 
-from .canvas import WeightedCanvas
 from .search import enumerate_profile_orientations, principal_sides
-from .sepsys import SeparationPool, Stratum, build_universe
+from .sepsys import SeparationPool, Stratum
 
 
 @dataclass(frozen=True)
@@ -194,7 +193,7 @@ def profile_levels(pool: SeparationPool) -> dict[int, tuple[Profile, ...]]:
     return levels
 
 
-def regions(wc: WeightedCanvas, pool: SeparationPool | None = None) -> tuple[Region, ...]:
+def regions(pool: SeparationPool) -> tuple[Region, ...]:
     """All regions of the picture: the equivalence classes of profiles
     with no focused member, read off the F-tangle levels.
 
@@ -209,8 +208,6 @@ def regions(wc: WeightedCanvas, pool: SeparationPool | None = None) -> tuple[Reg
     focused, the class is not a region.  The walk stops after the first
     level without F-tangles.  Regions come level by level, each level in
     canonical order of first members."""
-    if pool is None:
-        pool = build_universe(wc)
     chains: list[list[Profile] | None] = []   # None: the class goes on focused
     tips: dict[Profile, int] = {}             # last level's F-tangles -> their chains
     for k in count(1):

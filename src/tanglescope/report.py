@@ -34,12 +34,12 @@ def analyze(wc: WeightedCanvas,
             pixel_cap: int = DEFAULT_PIXEL_CAP) -> tuple[dict, bool]:
     """Full analysis; returns (report, all verifications passed)."""
     pool = build_universe(wc, pixel_cap)
-    region_list = regions(wc, pool=pool)
+    region_list = regions(pool)
 
     reps = select_representatives(region_list)
     if len(reps) >= 2:
         tree = build_distinguishing_tree_set(reps, pool)
-        tree_report = verify_tree_set(tree, reps, pool)
+        tree_report = verify_tree_set(tree, reps)
     else:
         tree = TreeSet(pool, ())
         tree_report = TreeSetReport(True, True, True, True)
@@ -49,7 +49,7 @@ def analyze(wc: WeightedCanvas,
     verdicts = []
     resolution = 0
     for k in range(1, pool.max_order + 2):
-        d = verify_duality(wc, k, pool)
+        d = verify_duality(pool, k)
         verdicts.append({
             "k": k,
             "f_tangle": d.f_tangle is not None,
@@ -87,8 +87,8 @@ def analyze(wc: WeightedCanvas,
         },
         "max_order": pool.max_order,
         "regions": region_entries,
-        "tree_set": [{"side": _hex(l.side), "order": l.order}
-                     for l in tree.lines],
+        "tree_set": [{"side": _hex(c), "order": pool.order_of(c)}
+                     for c in tree.lines],
         "splitting_stars": [sorted(_hex(s) for s in star)
                             for star in splitting_stars(tree)],
         "outlines": [{"region": i, "star": sorted(_hex(s) for s in outline(rho, tree))}

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 
 import numpy as np
 
@@ -34,10 +35,6 @@ class SeparationPool:
     @cached_property
     def max_order(self) -> int:
         return int(self.wc.all_orders().max())
-
-    def canonical_side(self, side: int) -> int:
-        """The orientation of side's pair that does not contain pixel 0."""
-        return side if not side & 1 else side ^ self.full_mask
 
     # -- strata --------------------------------------------------------------
 
@@ -97,6 +94,11 @@ def build_universe(wc: WeightedCanvas,
 def nested_sides(x: int, y: int, full: int) -> bool:
     """True iff the two underlying bipartitions have comparable orientations."""
     return (x & y == x or x & y == y or x & y == 0 or x | y == full)
+
+
+def laminar_sides(sides, full: int) -> bool:
+    """True iff every two sides are nested."""
+    return all(nested_sides(x, y, full) for x, y in combinations(sides, 2))
 
 
 def star_sides(sides, full: int) -> bool:

@@ -1,26 +1,14 @@
-"""Minimal laminar distinguishing line sets, their orientations and stars."""
+"""Minimal laminar distinguishing line sets, their orientations and stars.
+
+A line is an unoriented nontrivial bipartition, named by its canonical
+side (the side not containing pixel 0); its order is the pool's."""
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .profiles import Profile, Region, distinguishable, distinguishes
 from .search import SearchDefect
-from .sepsys import SeparationPool, consistent_sides, nested_sides
-
-
-@dataclass(frozen=True)
-class Line:
-    """An unoriented nontrivial bipartition, stored by its canonical side."""
-
-    side: int      # the orientation not containing pixel 0
-    order: int
-
-
-def line_of(pool: SeparationPool, side: int) -> Line:
-    if side in (0, pool.full_mask):
-        raise ValueError("a line must be a nontrivial bipartition")
-    canon = pool.canonical_side(side)
-    return Line(canon, pool.order_of(canon))
+from .sepsys import SeparationPool, consistent_sides, laminar_sides, nested_sides
 
 
 @dataclass(frozen=True)
@@ -28,10 +16,7 @@ class TreeSet:
     """A laminar set of lines over one pool."""
 
     pool: SeparationPool
-    lines: tuple[Line, ...]      # sorted by (order, side)
-
-    def __iter__(self):
-        return iter(self.lines)
+    lines: tuple[int, ...]      # canonical sides, sorted by (order, side)
 
     def __len__(self):
         return len(self.lines)
@@ -42,36 +27,25 @@ class TreeSet:
 
 
 def make_tree_set(pool: SeparationPool, lines) -> TreeSet:
-    lines = sorted(set(lines), key=lambda l: (l.order, l.side))
-    return TreeSet(pool, tuple(lines))
-
-
-def is_laminar(pool: SeparationPool, lines) -> bool:
-    lines = list(lines)
-    full = pool.full_mask
-    for i, a in enumerate(lines):
-        for b in lines[i + 1:]:
-            if not nested_sides(a.side, b.side, full):
-                return False
-    return True
+    return TreeSet(pool, tuple(sorted(set(lines), key=lambda c: (pool.order_of(c), c))))
 
 
 def _oriented_by(p: Profile, t: TreeSet) -> frozenset[int]:
     """The sides of t's lines that p chooses: p's partial orientation of t."""
     full = t.full_mask
     return frozenset(side for line in t.lines
-                     for side in (line.side, line.side ^ full) if side in p.chosen)
+                     for side in (line, line ^ full) if side in p.chosen)
 
 
-def min_distinguishers(p: Profile, q: Profile, pool: SeparationPool) -> frozenset[Line]:
+def min_distinguishers(p: Profile, q: Profile) -> frozenset[int]:
     """All minimum-order lines distinguishing p from q (the efficiency oracle)."""
     if not distinguishable(p, q):
         raise ValueError("profiles are not distinguishable")
-    ell = min(p.k, q.k)
-    stratum = pool.stratum(ell)
-    candidates = [line_of(pool, c) for c in stratum.pairs if distinguishes(c, p, q)]
-    best = min(line.order for line in candidates)
-    return frozenset(line for line in candidates if line.order == best)
+    order = p.pool.order_of
+    candidates = [c for c in p.pool.stratum(min(p.k, q.k)).pairs
+                  if distinguishes(c, p, q)]
+    best = min(map(order, candidates))
+    return frozenset(c for c in candidates if order(c) == best)
 
 
 # -- orientations of a tree set ----------------------------------------------
@@ -87,7 +61,7 @@ def consistent_orientations(t: TreeSet) -> list[frozenset[int]]:
             out.append(frozenset(chosen))
             return
         line = t.lines[i]
-        for side in (line.side, line.side ^ full):
+        for side in (line, line ^ full):
             if consistent_sides(chosen + [side], full):
                 chosen.append(side)
                 descend(i + 1, chosen)
@@ -127,29 +101,25 @@ def build_distinguishing_tree_set(profiles, pool: SeparationPool) -> TreeSet:
     minimality fall through to the next greedy solution.
     """
     profiles = sorted(set(profiles), key=lambda p: (p.k, sorted(p.chosen)))
-    for i, p in enumerate(profiles):
-        for q in profiles[i + 1:]:
-            if not distinguishable(p, q):
-                raise ValueError("profiles must be pairwise distinguishable")
     pairs = []
     for i, p in enumerate(profiles):
         for q in profiles[i + 1:]:
-            candidates = min_distinguishers(p, q, pool)
-            pairs.append((candidates, (p, q)))
-    pairs.sort(key=lambda pr: (min(l.order for l in pr[0]),
-                               sorted(l.side for l in pr[0])))
+            pairs.append((min_distinguishers(p, q), (p, q)))
+    # a pair's candidates share one order
+    order = pool.order_of
+    pairs.sort(key=lambda pr: (order(min(pr[0])), sorted(pr[0])))
     full = pool.full_mask
 
     def plain_ok(lines, without=None) -> bool:
         kept = [l for l in lines if l != without]
-        return all(any(distinguishes(l.side, p, q) for l in kept)
+        return all(any(distinguishes(l, p, q) for l in kept)
                    for _, (p, q) in pairs)
 
     def efficient_ok(lines, without=None) -> bool:
         kept = [l for l in lines if l != without]
         return all(any(l in cands for l in kept) for cands, _ in pairs)
 
-    def solutions(i: int, lines: list[Line]):
+    def solutions(i: int, lines: list[int]):
         if i == len(pairs):
             yield list(lines)
             return
@@ -157,8 +127,8 @@ def build_distinguishing_tree_set(profiles, pool: SeparationPool) -> TreeSet:
         if any(l in candidates for l in lines):
             yield from solutions(i + 1, lines)
             return
-        for cand in sorted(candidates, key=lambda l: (l.order, l.side)):
-            if all(nested_sides(cand.side, l.side, full) for l in lines):
+        for cand in sorted(candidates):
+            if all(nested_sides(cand, l, full) for l in lines):
                 lines.append(cand)
                 yield from solutions(i + 1, lines)
                 lines.pop()
@@ -169,7 +139,7 @@ def build_distinguishing_tree_set(profiles, pool: SeparationPool) -> TreeSet:
         changed = True
         while changed:
             changed = False
-            for l in sorted(lines, key=lambda l: (-l.order, -l.side)):
+            for l in sorted(lines, key=lambda l: (-order(l), -l)):
                 if efficient_ok(lines, without=l):
                     lines.remove(l)
                     changed = True
@@ -191,17 +161,17 @@ class TreeSetReport:
         return self.laminar and self.efficiency and self.minimality and self.bijection
 
 
-def verify_tree_set(t: TreeSet, profiles, pool: SeparationPool) -> TreeSetReport:
+def verify_tree_set(t: TreeSet, profiles) -> TreeSetReport:
     """Independent check of efficiency, minimality and the orientation
     bijection, plus laminarity."""
     profiles = sorted(set(profiles), key=lambda p: (p.k, sorted(p.chosen)))
-    laminar = is_laminar(pool, t.lines)
+    laminar = laminar_sides(t.lines, t.full_mask)
     prof_pairs = [(p, q) for i, p in enumerate(profiles) for q in profiles[i + 1:]]
 
-    efficiency = all(not min_distinguishers(p, q, pool).isdisjoint(t.lines)
+    efficiency = all(not min_distinguishers(p, q).isdisjoint(t.lines)
                      for p, q in prof_pairs)
     minimality = all(
-        any(not any(distinguishes(l.side, p, q)
+        any(not any(distinguishes(l, p, q)
                     for l in t.lines if l != removed)
             for p, q in prof_pairs)
         for removed in t.lines

@@ -68,6 +68,11 @@ def one_pixel():
     return picture(1, 1, [0])
 
 
+def dot4x5():
+    # its level-5 F-tangle is not principal: every pixel has order({p}) <= 4
+    return picture(4, 5, [1] + [0] * 19)
+
+
 SMALL_PICTURES = {
     "mono2x2": lambda: fixture("mono2x2"),
     "white2x2": white2x2,

@@ -17,7 +17,6 @@ from tanglescope import (analyze, build_chop_tree, build_distinguishing_tree_set
 from tanglescope.duality import enumerate_f_prime_tangles
 from tanglescope.fixtures import fixture_canvas, noisedisc_masks
 from tanglescope.report import select_representatives
-from tanglescope.treeset import line_of
 
 
 def _verdict(capsys, number: int, label: str, ok: bool, elapsed: float):
@@ -64,25 +63,24 @@ def test_criterion_2_letter_l(capsys, wc_minil, pool_minil):
                  if c == 0 or (r == 4 and c <= 2))
     unique_zero_line = sorted(proper) == sorted(
         [l_mask, l_mask ^ wc_minil.full_mask])
-    rs = regions(wc_minil, pool=pool_minil)
+    rs = regions(pool_minil)
     two_complexity_one = sum(r.complexity == 1 for r in rs) == 2
     elapsed = time.time() - t0
     _verdict(capsys, 2, "letter-L outline and regions",
              unique_zero_line and two_complexity_one and elapsed < 60, elapsed)
 
 
-def test_criterion_3_tree_sets(capsys, wc_mono, pool_mono, wc_quad, pool_quad,
-                               wc_minil, pool_minil):
+def test_criterion_3_tree_sets(capsys, wc_mono, pool_mono, pool_quad, pool_minil):
     t0 = time.time()
     ok = True
     cases = [
         (pool_mono, list(enumerate_profiles(pool_mono.stratum(1)))),
-        (pool_quad, select_representatives(regions(wc_quad, pool=pool_quad))),
-        (pool_minil, select_representatives(regions(wc_minil, pool=pool_minil))),
+        (pool_quad, select_representatives(regions(pool_quad))),
+        (pool_minil, select_representatives(regions(pool_minil))),
     ]
     for pool, profs in cases:
         tree = build_distinguishing_tree_set(profs, pool)
-        report = verify_tree_set(tree, profs, pool)
+        report = verify_tree_set(tree, profs)
         ok = ok and report.ok
     elapsed = time.time() - t0
     _verdict(capsys, 3, "tree sets verify", ok and elapsed < 120, elapsed)
@@ -96,11 +94,11 @@ def test_criterion_4_quadrants(capsys, wc_quad, pool_quad):
     tree = build_distinguishing_tree_set(quad_profiles, pool_quad)
     three_lines = len(tree) == 3
     # no 2 lines orientable by all four profiles distinguish every pair
-    candidates = [line_of(pool_quad, c) for c in pool_quad.stratum(3).pairs]
+    candidates = pool_quad.stratum(3).pairs
     pairs = [(p, q) for i, p in enumerate(quad_profiles)
              for q in quad_profiles[i + 1:]]
     no_two_suffice = not any(
-        all(distinguishes(a.side, p, q) or distinguishes(b.side, p, q)
+        all(distinguishes(a, p, q) or distinguishes(b, p, q)
             for p, q in pairs)
         for i, a in enumerate(candidates) for b in candidates[i + 1:]
     )

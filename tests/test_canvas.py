@@ -190,6 +190,26 @@ def test_physical_memory_probe():
     assert memory is None or memory > 0
 
 
+def test_cgroup_memory_limit_is_read(monkeypatch, tmp_path):
+    limit = tmp_path / "memory.max"
+    monkeypatch.setattr(canvas_module, "_CGROUP_MEMORY_MAX", str(limit))
+    host = canvas_module._physical_memory()   # no limit file: the host's figure
+    limit.write_text("max\n")
+    assert canvas_module._physical_memory() == host
+    if host is not None:
+        limit.write_text(f"{2 * host}\n")
+        assert canvas_module._physical_memory() == host
+    wc = weighted(white2x2)   # a 64-byte order table
+    limit.write_text("63\n")
+    with pytest.raises(CanvasSizeError, match="needs 64 bytes"):
+        wc.all_orders()
+    limit.write_text("64\n")
+    assert wc.all_orders().tolist() == [wc.order(a) for a in range(16)]
+    # a path that cannot be read as a file leaves the host's figure
+    monkeypatch.setattr(canvas_module, "_CGROUP_MEMORY_MAX", str(tmp_path))
+    assert canvas_module._physical_memory() == host
+
+
 @pytest.mark.parametrize("name", sorted(SMALL_PICTURES))
 def test_submodularity_exhaustive_small(name):
     wc = weighted(SMALL_PICTURES[name])

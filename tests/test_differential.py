@@ -46,5 +46,5 @@ def test_engines_match_oracles_on_random_pictures(wc):
                  if not all(is_focused(p) for p in profs)]
     assert max_supported_resolution(wc) == max(unfocused, default=0)
     for k in range(1, pool.max_order + 2):
-        assert verify_duality(wc, k, pool).ok is True
+        assert verify_duality(pool, k).ok is True
     assert analyze(wc)[1]

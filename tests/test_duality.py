@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import tanglescope.duality as duality
-from corpus import TWELVE_PIXEL_PICTURES, one_pixel, picture, weighted
+from corpus import TWELVE_PIXEL_PICTURES, dot4x5, one_pixel, picture, weighted
 from oracles import _consistent, all_orientations, naive_fprime_stars, naive_tangles
 from tanglescope import (Profile, StarSetF, WeightedCanvas, analyze, build_chop_tree,
                          build_universe, enumerate_profiles, find_f_tangle, is_focused,
@@ -18,7 +18,7 @@ from tanglescope import (Profile, StarSetF, WeightedCanvas, analyze, build_chop_
 from tanglescope.duality import (ChopNode, ChopTree, enumerate_f_prime_tangles,
                                  induced_subcanvas)
 from tanglescope.fixtures import fixture_canvas, noisedisc_masks
-from tanglescope.profiles import orientation_of
+from tanglescope.profiles import f_tangles, is_principal, orientation_of
 from tanglescope.search import SearchDefect
 
 
@@ -286,16 +286,16 @@ def test_chop_tree_rejects_bad_k(wc_mono):
         build_chop_tree(wc_mono, 0)
 
 
-def test_duality_mono(wc_mono, pool_mono):
+def test_duality_mono(pool_mono):
     for k in (1, 2, 3, 4):
-        report = verify_duality(wc_mono, k, pool_mono)
+        report = verify_duality(pool_mono, k)
         assert report.exclusive and report.ok
 
 
 def test_duality_all_white_3x3():
     wc = weighted(lambda: picture(3, 3, [0] * 9))
     assert wc.N == 0
-    report = verify_duality(wc, 1)
+    report = verify_duality(build_universe(wc), 1)
     assert report.ok
 
 
@@ -305,6 +305,25 @@ def test_resolution_mono(wc_mono):
 
 def test_resolution_one_pixel():
     assert max_supported_resolution(weighted(one_pixel)) == 0
+
+
+def test_non_principal_f_tangle():
+    # the resolution exceeds every single-pixel order, so the search, not a
+    # principal orientation toward some pixel, must supply the top F-tangle
+    wc = weighted(dot4x5)
+    pool = build_universe(wc)
+    assert max(pool.order_of(1 << p) for p in range(wc.npixels)) == 4
+    assert max_supported_resolution(wc) == 5
+    stratum = pool.stratum(5)
+    assert len(stratum.pairs) == 129
+    (tangle,) = f_tangles(stratum)
+    assert is_profile(tangle) and not is_focused(tangle)
+    assert not is_principal(tangle)
+    report, ok = analyze(wc)
+    verdicts = {v["k"]: v for v in report["duality"]["verdicts"]}
+    assert ok
+    assert verdicts[5]["f_tangle"] is True
+    assert verdicts[6]["chop_tree"] is True and verdicts[6]["chop_tree_valid"] is True
 
 
 def test_resolution_noisedisc_block_exceeds_noise():

@@ -153,7 +153,7 @@ def test_equivalence_classes_are_maximal_chains(name):
           else weighted(TWELVE_PIXEL_PICTURES[name]))
     pool = build_universe(wc)
     levels = profile_levels(pool)
-    rs = regions(wc, pool)
+    rs = regions(pool)
     members = [p for rho in rs for p in rho.members]
     in_regions = set(members)
     assert len(in_regions) == len(members)
@@ -221,15 +221,15 @@ def test_regions_never_build_focused_profiles():
     assert len(pool.stratum(1).pairs) == (1 << 19) - 1
     tracemalloc.start()
     try:
-        assert regions(wc, pool) == ()
+        assert regions(pool) == ()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 16 << 20
 
 
-def test_regions_mono(wc_mono, pool_mono):
-    rs = regions(wc_mono, pool=pool_mono)
+def test_regions_mono(pool_mono):
+    rs = regions(pool_mono)
     assert len(rs) == 1
     (rho,) = rs
     assert (rho.complexity, rho.cohesion, rho.visibility) == (1, 1, 0)
@@ -238,18 +238,18 @@ def test_regions_mono(wc_mono, pool_mono):
 
 def test_regions_all_white():
     # every profile of the all-white picture is focused from the start
-    rs = regions(weighted(white2x2))
+    rs = regions(build_universe(weighted(white2x2)))
     assert rs == ()
 
 
-def test_regions_contiguous_levels(wc_quad, pool_quad):
-    for rho in regions(wc_quad, pool=pool_quad):
+def test_regions_contiguous_levels(pool_quad):
+    for rho in regions(pool_quad):
         ks = [p.k for p in rho.members]
         assert ks == list(range(rho.complexity, rho.cohesion + 1))
 
 
-def test_refines_quad(wc_quad, pool_quad):
-    rs = regions(wc_quad, pool=pool_quad)
+def test_refines_quad(pool_quad):
+    rs = regions(pool_quad)
     halves = [r for r in rs if (r.complexity, r.cohesion) == (1, 2)]
     quads = [r for r in rs if (r.complexity, r.cohesion) == (3, 4)]
     assert len(halves) == 2 and len(quads) == 4
