@@ -11,7 +11,7 @@ import numpy as np
 from .canvas import DEFAULT_PIXEL_CAP, Canvas, Picture, WeightedCanvas
 from .profiles import Profile, is_focused, is_profile
 from .search import (SearchDefect, enumerate_fprime_orientations,
-                     find_star_avoiding_orientation)
+                     find_star_avoiding_orientation, principal_sides)
 from .sepsys import (SeparationPool, Stratum, build_universe, laminar_sides,
                      star_sides, void_sides)
 
@@ -53,22 +53,54 @@ class StarSetF:
         return out
 
 
+def _shares_pixel_certificate(o: Profile) -> bool:
+    """True when `o` chooses exactly one side of every pair plus the full
+    side, one pixel p lies in every chosen side, and no chosen side is a
+    single pixel.  Such an orientation is an unfocused profile: any two
+    chosen sides x, y share p, so they are not disjoint and (x & y)*,
+    which misses p, is not chosen.  O(pairs), where `is_profile` is
+    quadratic."""
+    full = o.stratum.full_mask
+    chosen = o.chosen
+    common = full
+    for s in chosen:
+        common &= s
+    return (common != 0 and full in chosen
+            and len(chosen) == len(o.stratum.pairs) + 1
+            and all((c in chosen) != (c ^ full in chosen) for c in o.stratum.pairs)
+            and not any(s.bit_count() == 1 for s in chosen))
+
+
 def find_f_tangle(stratum: Stratum) -> Profile | None:
     """An F-tangle of the stratum for the standard F, or None.
 
-    A level whose F-tangles the pool has already listed (`f_tangles`)
-    answers with the first of them; any other level runs the find-one
-    search.  Every hit is re-verified to be an unfocused profile before
-    it is returned; a failure is an internal defect.
+    A level where some pixel p has order({p}) >= k is answered in closed
+    form, with the principal orientation toward the lowest such p: the
+    side containing p of every pair.  It is an F-tangle: any two of its
+    chosen sides share p, so it is consistent and no set of its sides is
+    void, and it chooses no single pixel, since the only candidate, {p},
+    is not in the stratum.  It is also an unfocused profile, as for
+    chosen x and y the side (x & y)* misses p.  Any other level the pool
+    has already listed (`f_tangles`) answers with the first of them, and
+    the rest run the find-one search.
+
+    Every hit is checked before it is returned.  A hit whose chosen sides
+    share a pixel gets the O(pairs) certificate of the argument above
+    (`_shares_pixel_certificate`); any other hit gets `is_focused` and
+    `is_profile`.  A hit failing them is an internal defect.
     """
-    listed = stratum.pool._f_tangles.get(stratum.k)
-    if listed is not None:
+    pool = stratum.pool
+    heavy = [p for p, order in enumerate(pool.pixel_orders) if order >= stratum.k]
+    listed = pool._f_tangles.get(stratum.k)
+    if heavy:
+        hit = Profile(stratum, principal_sides(stratum, heavy[0]))
+    elif listed is not None:
         hit = listed[0] if listed else None
     else:
         chosen = find_star_avoiding_orientation(stratum)
         hit = None if chosen is None else Profile(stratum, chosen)
-    if hit is None:
-        return None
+    if hit is None or _shares_pixel_certificate(hit):
+        return hit
     # this covers F-avoidance: single pixels fail as focused, and a void
     # <=3-star of an orientation is {x, y, (x & y)*}, a profile violation
     if is_focused(hit):
@@ -118,6 +150,11 @@ def build_chop_tree(wc: WeightedCanvas, k: int,
     """The dual witness: split the pixel set recursively along lines of
     order below k, down to single pixels, or None if no such tree exists.
 
+    A tree's leaves are the single pixels, and each is a part of order
+    below k.  So where some pixel p has order({p}) >= k no tree exists,
+    and the answer is None without a search; `find_f_tangle` answers the
+    same levels with the principal orientation toward p.
+
     `chop(part)` tries each split of part into two stratum sides c1 < c2:
     c1 is a side inside part, read with numpy off the array of every
     stratum side, and c2 = part ^ c1 passes when its order in the table is
@@ -133,6 +170,8 @@ def build_chop_tree(wc: WeightedCanvas, k: int,
         return ChopTree(k, (ChopNode(wc.full_mask, ()),))
     if pool is None:
         pool = build_universe(wc)
+    if max(pool.pixel_orders) >= k:
+        return None
     orders = pool.wc.all_orders()
     pairs = np.array(pool.stratum(k).pairs, dtype=np.int64)
     sides = np.concatenate((pairs, pairs ^ pool.full_mask))
@@ -277,12 +316,18 @@ def induced_subcanvas(wc: WeightedCanvas, subset: int) -> WeightedCanvas:
 
 def max_supported_resolution(wc: WeightedCanvas, subset: int | None = None,
                              pixel_cap: int = DEFAULT_PIXEL_CAP) -> int:
-    """The largest k admitting an unfocused k-profile, found via F-tangles."""
+    """The largest k admitting an unfocused k-profile, found via F-tangles.
+
+    The answer is at least m = max_p order({p}): at every k <= m the
+    principal orientation toward a pixel of order m is an F-tangle (see
+    `find_f_tangle`), and no chop tree exists, since that pixel's leaf
+    would have order >= k.  So the sweep starts at k = m + 1, where the
+    search decides."""
     if subset is not None:
         wc = induced_subcanvas(wc, subset)
     pool = build_universe(wc, pixel_cap)
-    best = 0
-    for k in range(1, pool.max_order + 2):
+    best = max(pool.pixel_orders)
+    for k in range(best + 1, pool.max_order + 2):
         # existence is downward-closed in k (restrictions of unfocused
         # profiles are unfocused), so stop at the first failure
         if find_f_tangle(pool.stratum(k)) is None:

@@ -129,7 +129,7 @@ def focused_children(q: Profile) -> list[int]:
     for s in q.chosen:
         common &= s
     return [p for p in range(common.bit_length())
-            if common >> p & 1 and q.pool.order_of(1 << p) == q.k]
+            if common >> p & 1 and q.pool.pixel_orders[p] == q.k]
 
 
 def distinguishes(line_side: int, p: Orientation, q: Orientation) -> bool:

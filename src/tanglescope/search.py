@@ -57,11 +57,26 @@ complete level, and `profiles.regions` never does: it needs only the
 number of focused profiles inducing each F-tangle, which it reads off the
 pixels' orders (`profiles.focused_children`).
 
+The find-one search is left only the levels where a non-principal
+F-tangle could be the answer.  Where some pixel p has order({p}) >= k,
+both sides of the duality follow from the definitions:
+
+- the principal orientation toward p is an F-tangle: any two of its
+  chosen sides share p, so it is consistent and no set of its sides is
+  void, and the one single pixel it could choose, {p}, is not in the
+  stratum.  It is also an unfocused profile, as for chosen x and y the
+  side (x & y)* misses p.  `duality.find_f_tangle` returns it unsearched;
+- no chop tree exists, since its leaf {p} would be a part of order
+  >= k.  `duality.build_chop_tree` returns None unsearched.
+
+So the search decides only levels where every {p} lies in the stratum.
+
 This module holds no checkers of its own: `duality.find_f_tangle`
-re-verifies every F-tangle hit with the definition-level
-`profiles.is_profile` and `profiles.is_focused`, and the test suite
-compares both searches and the assembled profiles against brute-force
-oracles.
+re-verifies every F-tangle hit, with an O(pairs) certificate when its
+chosen sides share a pixel and with the definition-level
+`profiles.is_profile` and `profiles.is_focused` otherwise, and the test
+suite compares both searches and the assembled profiles against
+brute-force oracles.
 """
 from __future__ import annotations
 
@@ -90,9 +105,7 @@ def _focus_pixels(stratum: Stratum) -> list[int]:
     """The pixels p with {p} in the stratum, in pixel order.  That is the
     canonical order of their principal orientations: for such p < q the
     smallest side chosen by exactly one of the two is {p}, chosen toward p."""
-    pool = stratum.pool
-    return [p for p in range(stratum.full_mask.bit_length())
-            if pool.order_of(1 << p) < stratum.k]
+    return [p for p, order in enumerate(stratum.pool.pixel_orders) if order < stratum.k]
 
 
 def _bits(mask: int):

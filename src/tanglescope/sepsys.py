@@ -36,6 +36,12 @@ class SeparationPool:
     def max_order(self) -> int:
         return int(self.wc.all_orders().max())
 
+    @cached_property
+    def pixel_orders(self) -> tuple[int, ...]:
+        """order({p}) of every pixel p, in pixel order."""
+        orders = self.wc.all_orders()
+        return tuple(int(orders[1 << p]) for p in range(self.wc.npixels))
+
     # -- strata --------------------------------------------------------------
 
     def stratum(self, k: int) -> "Stratum":

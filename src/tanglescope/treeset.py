@@ -98,9 +98,12 @@ def build_distinguishing_tree_set(profiles, pool: SeparationPool) -> TreeSet:
 
     Greedy by increasing minimum distinguishing order with nestedness
     backtracking, then a deletion pass; candidate outputs failing plain
-    minimality fall through to the next greedy solution.
+    minimality fall through to the next greedy solution.  Every profile
+    must come from `pool`, whose order table ranks the lines.
     """
     profiles = sorted(set(profiles), key=lambda p: (p.k, sorted(p.chosen)))
+    if any(p.pool is not pool for p in profiles):
+        raise ValueError("profiles from a different pool")
     pairs = []
     for i, p in enumerate(profiles):
         for q in profiles[i + 1:]:

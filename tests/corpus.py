@@ -73,6 +73,13 @@ def dot4x5():
     return picture(4, 5, [1] + [0] * 19)
 
 
+def defect4x4():
+    # a checkerboard with pixel 5 flipped, so only pixel 5's four edges
+    # carry weight: pixel orders at most 4, and 30,719 pairs in stratum 4
+    return picture(4, 4, [(r + c) % 2 ^ (r * 4 + c == 5)
+                          for r, c in product(range(4), range(4))])
+
+
 SMALL_PICTURES = {
     "mono2x2": lambda: fixture("mono2x2"),
     "white2x2": white2x2,

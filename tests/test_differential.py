@@ -1,15 +1,19 @@
 """Differential net: the search engines against the brute-force oracles and
-the definition-level verifiers, on random pictures of at most 11 pixels."""
+the definition-level verifiers, and the closed-form answers at principal
+levels against the search engine, on random pictures of at most 11
+pixels."""
 from __future__ import annotations
 
 from hypothesis import given, settings
 
 from corpus import random_weighted
 from oracles import naive_profiles, naive_tangles
-from tanglescope import (StarSetF, analyze, build_universe, find_f_tangle,
-                         is_focused, max_supported_resolution, verify_duality)
+from tanglescope import (StarSetF, analyze, build_chop_tree, build_universe,
+                         find_f_tangle, is_focused, max_supported_resolution,
+                         verify_duality)
 from tanglescope.duality import enumerate_f_prime_tangles
 from tanglescope.profiles import f_tangles, profile_levels
+from tanglescope.search import find_star_avoiding_orientation
 
 # the oracles enumerate 2^pairs orientations
 _ORACLE_PAIRS = 12
@@ -20,7 +24,8 @@ _ORACLE_PAIRS = 12
 def test_engines_match_oracles_on_random_pictures(wc):
     pool = build_universe(wc)
     levels = profile_levels(pool)
-    # a pool with no listed level, so find_f_tangle runs the search
+    # a pool with no listed level: find_f_tangle answers its principal
+    # levels in closed form and searches the others
     fresh = build_universe(wc)
     for k, profs in levels.items():
         stratum = pool.stratum(k)
@@ -33,18 +38,31 @@ def test_engines_match_oracles_on_random_pictures(wc):
         # footnote equivalence: the F'-tangles are exactly the profiles
         assert [t.chosen for t in enumerate_f_prime_tangles(stratum)] == chosen
         listed = find_f_tangle(stratum)
-        searched = find_f_tangle(fresh.stratum(k))
-        assert (listed is None) == (searched is None)
+        found = find_f_tangle(fresh.stratum(k))
+        # the find-one engine itself, which the closed form skips
+        searched = find_star_avoiding_orientation(fresh.stratum(k))
+        assert (listed is None) == (found is None) == (searched is None)
+        if max(pool.pixel_orders) >= k:
+            assert build_chop_tree(wc, k, pool) is None
         if small:
             naive = [o for o in naive_tangles(stratum, StarSetF(stratum).enumerate())
                      if all(s.bit_count() != 1 for s in o)]
             assert (searched is not None) == bool(naive)
-            for hit in (listed, searched):
+            for hit in (listed, found):
                 assert hit is None or hit.chosen in naive
+            assert searched is None or searched in naive
     assert not fresh._f_tangles
     unfocused = [k for k, profs in levels.items()
                  if not all(is_focused(p) for p in profs)]
-    assert max_supported_resolution(wc) == max(unfocused, default=0)
+    resolution = max_supported_resolution(wc)
+    assert resolution == max(unfocused, default=0)
+    # a plain sweep from k=1 over the search engine alone
+    swept = 0
+    for k in range(1, fresh.max_order + 2):
+        if find_star_avoiding_orientation(fresh.stratum(k)) is None:
+            break
+        swept = k
+    assert resolution == swept
     for k in range(1, pool.max_order + 2):
         assert verify_duality(pool, k).ok is True
     assert analyze(wc)[1]

@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import tanglescope.duality as duality
-from corpus import TWELVE_PIXEL_PICTURES, dot4x5, one_pixel, picture, weighted
+from corpus import (TWELVE_PIXEL_PICTURES, defect4x4, dot4x5, one_pixel, picture,
+                    weighted)
 from oracles import _consistent, all_orientations, naive_fprime_stars, naive_tangles
 from tanglescope import (Profile, StarSetF, WeightedCanvas, analyze, build_chop_tree,
                          build_universe, enumerate_profiles, find_f_tangle, is_focused,
@@ -19,7 +20,7 @@ from tanglescope.duality import (ChopNode, ChopTree, enumerate_f_prime_tangles,
                                  induced_subcanvas)
 from tanglescope.fixtures import fixture_canvas, noisedisc_masks
 from tanglescope.profiles import f_tangles, is_principal, orientation_of
-from tanglescope.search import SearchDefect
+from tanglescope.search import SearchDefect, principal_sides
 
 
 def test_standard_f_membership(pool_mono):
@@ -89,33 +90,118 @@ def _first_orientation(stratum, wanted):
     raise AssertionError("no orientation of the wanted kind")
 
 
-@pytest.mark.parametrize("fixture_name, k, wanted", [
-    ("mono2x2", 2, lambda cons, prof, foc: prof and foc),
-    ("quad4x4", 3, lambda cons, prof, foc: not cons and not foc),
-    ("mono2x2", 2, lambda cons, prof, foc: cons and not prof and not foc),
+def _mono2x2():
+    # pixel orders (0, 1, 1, 2): stratum 3 is the full universe (7 pairs)
+    return fixture_canvas("mono2x2")
+
+
+def _flat5x1():
+    # stratum 1 is the full universe of 5 pixels (15 pairs).  No full
+    # universe of at most 4 pixels has an unfocused inconsistent orientation
+    return weighted(lambda: picture(5, 1, [0] * 5))
+
+
+def _unprincipal_stratum(canvas, k):
+    # a level the closed form leaves alone, so a planted hit is read
+    stratum = build_universe(canvas()).stratum(k)
+    assert max(stratum.pool.pixel_orders) < k
+    return stratum
+
+
+@pytest.mark.parametrize("canvas, k, wanted", [
+    (_mono2x2, 3, lambda cons, prof, foc: prof and foc),
+    (_flat5x1, 1, lambda cons, prof, foc: not cons and not foc),
+    (_mono2x2, 3, lambda cons, prof, foc: cons and not prof and not foc),
 ], ids=["focused", "inconsistent", "non-profile"])
-def test_find_f_tangle_rejects_bad_hits(monkeypatch, fixture_name, k, wanted):
-    stratum = build_universe(fixture_canvas(fixture_name)).stratum(k)
+def test_find_f_tangle_rejects_bad_hits(monkeypatch, canvas, k, wanted):
+    stratum = _unprincipal_stratum(canvas, k)
     bad = _first_orientation(stratum, wanted)
+    searched = []
     monkeypatch.setattr(duality, "find_star_avoiding_orientation",
-                        lambda s: bad)
+                        lambda s: searched.append(s) or bad)
     with pytest.raises(SearchDefect):
         find_f_tangle(stratum)
+    assert searched == [stratum]
 
 
-@pytest.mark.parametrize("fixture_name, k, wanted", [
-    ("quad4x4", 3, lambda cons, prof, foc: not cons and not foc),
-    ("mono2x2", 2, lambda cons, prof, foc: cons and not prof and not foc),
-    ("mono2x2", 2, lambda cons, prof, foc: not prof and foc),
+@pytest.mark.parametrize("canvas, k, wanted", [
+    (_flat5x1, 1, lambda cons, prof, foc: not cons and not foc),
+    (_mono2x2, 3, lambda cons, prof, foc: cons and not prof and not foc),
+    (_mono2x2, 3, lambda cons, prof, foc: not prof and foc),
 ], ids=["inconsistent", "non-profile", "focused-non-profile"])
-def test_find_f_tangle_rejects_bad_listed_hits(fixture_name, k, wanted):
+def test_find_f_tangle_rejects_bad_listed_hits(canvas, k, wanted):
     # a level the pool has enumerated answers from its list, under the
     # same re-check as the search
-    pool = build_universe(fixture_canvas(fixture_name))
-    stratum = pool.stratum(k)
-    pool._f_tangles[k] = (Profile(stratum, _first_orientation(stratum, wanted)),)
+    stratum = _unprincipal_stratum(canvas, k)
+    stratum.pool._f_tangles[k] = (Profile(stratum, _first_orientation(stratum, wanted)),)
     with pytest.raises(SearchDefect):
         find_f_tangle(stratum)
+
+
+def _bad_principal(kind, stratum, p):
+    """The principal sides toward p, spoilt in the named way."""
+    good = principal_sides(stratum, p)
+    full = stratum.full_mask
+    # a chosen side whose complement is not a single pixel, and a side
+    # holding p that is no single pixel and lies outside the stratum
+    side = next(s for s in sorted(good) if (s ^ full).bit_count() > 1)
+    foreign = next(s for s in range(full) if s >> p & 1 and s.bit_count() > 1
+                   and s not in stratum)
+    if kind == "single-pixel side":
+        light = next(q for q, order in enumerate(stratum.pool.pixel_orders)
+                     if order < stratum.k)
+        return principal_sides(stratum, light)
+    if kind == "missing side":
+        # a foreign side in its place keeps the count and the common pixel
+        return good - {side} | {foreign}
+    if kind == "extra side":
+        return good | {foreign}
+    if kind == "both sides":
+        return good | {side ^ full}
+    return good - {side} | {side ^ full}
+
+
+@pytest.mark.parametrize("kind", ["single-pixel side", "missing side", "extra side",
+                                  "both sides", "no common pixel"])
+def test_find_f_tangle_rejects_bad_principal_hits(monkeypatch, kind):
+    # mono2x2 k=2 is answered in closed form toward pixel 3, the one pixel
+    # of order >= 2; the planted builder spoils that answer
+    stratum = build_universe(fixture_canvas("mono2x2")).stratum(2)
+    assert stratum.pool.pixel_orders == (0, 1, 1, 2)
+    bad = _bad_principal(kind, stratum, 3)
+    built, checked = [], []
+    monkeypatch.setattr(duality, "principal_sides",
+                        lambda s, p: built.append(p) or bad)
+    monkeypatch.setattr(duality, "is_profile",
+                        lambda o: checked.append(o) or is_profile(o))
+    with pytest.raises(SearchDefect):
+        find_f_tangle(stratum)
+    assert built == [3]
+    if kind == "no common pixel":
+        # one side per pair and no single pixel, so only is_profile can
+        # catch it
+        full = stratum.full_mask
+        assert len(bad) == len(stratum.pairs) + 1 and full in bad
+        assert all((c in bad) != (c ^ full in bad) for c in stratum.pairs)
+        assert not any(s.bit_count() == 1 for s in bad)
+        assert [o.chosen for o in checked] == [bad]
+
+
+def test_principal_levels_are_not_searched(monkeypatch, wc_quad):
+    # quad4x4's pixel orders are 4 and 5, so every level up to 5 is answered
+    # in closed form: the principal orientation toward the lowest pixel of
+    # order >= k, and no chop tree
+    def no_search(stratum):
+        raise AssertionError("a principal level reached the search")
+    monkeypatch.setattr(duality, "find_star_avoiding_orientation", no_search)
+    pool, fresh = build_universe(wc_quad), build_universe(wc_quad)
+    assert (min(pool.pixel_orders), max(pool.pixel_orders)) == (4, 5)
+    for k, pixel in ((1, 0), (2, 0), (3, 0), (4, 0), (5, 4)):
+        stratum = pool.stratum(k)
+        assert find_f_tangle(stratum).chosen == principal_sides(stratum, pixel)
+        assert build_chop_tree(wc_quad, k, fresh) is None
+    # the chop search reads the stratum's pairs; the closed form builds none
+    assert not fresh._strata
 
 
 def test_fprime_matches_naive_oracle(pool_mono):
@@ -324,6 +410,18 @@ def test_non_principal_f_tangle():
     assert ok
     assert verdicts[5]["f_tangle"] is True
     assert verdicts[6]["chop_tree"] is True and verdicts[6]["chop_tree_valid"] is True
+
+
+def test_defect4x4_principal_levels():
+    # every level up to the largest pixel order is principal; searching and
+    # re-checking level 4's F-tangle over its 30,719 pairs took minutes
+    wc = weighted(defect4x4)
+    pool = build_universe(wc)
+    assert max(pool.pixel_orders) == 4
+    assert len(pool.stratum(4).pairs) == 30719
+    assert max_supported_resolution(wc) == 4
+    for k in range(1, 6):
+        assert verify_duality(pool, k).ok is True
 
 
 def test_resolution_noisedisc_block_exceeds_noise():

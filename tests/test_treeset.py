@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from tanglescope import (build_distinguishing_tree_set,
+from tanglescope import (build_distinguishing_tree_set, build_universe,
                          consistent_orientations, enumerate_profiles,
                          min_distinguishers, outline, regions, splitting_stars,
                          verify_tree_set)
@@ -52,6 +52,20 @@ def test_build_rejects_indistinguishable(pool_mono):
     p2 = enumerate_profiles(pool_mono.stratum(2))[0]
     with pytest.raises(ValueError):
         build_distinguishing_tree_set([p2, restrict(p2, 1)], pool_mono)
+
+
+def test_build_rejects_profiles_of_another_pool(mono_s1, wc_mono):
+    # pools compare by identity, so a second pool of the same canvas is
+    # another pool
+    with pytest.raises(ValueError):
+        build_distinguishing_tree_set(mono_s1, build_universe(wc_mono))
+
+
+def test_verify_flags_crossing_lines(mono_s1, pool_mono):
+    # 0b0110 and 0b1100 cross: they meet in pixel 2, and neither contains
+    # the other or joins it to the full set
+    crossing = make_tree_set(pool_mono, [0b0110, 0b1100])
+    assert verify_tree_set(crossing, mono_s1).laminar is False
 
 
 def test_consistent_orientations_counts(pool_mono, quad_tree):
