@@ -15,7 +15,9 @@ import numpy as np
 DEFAULT_PIXEL_CAP = 20
 HARD_PIXEL_CAP = 32
 
-_ORDER_LIMIT = (1 << 32) - 1   # orders are stored as uint32
+# the largest total edge weight, which bounds every order: the order table
+# is uint8, uint16 or uint32, the narrowest that holds the total
+_ORDER_LIMIT = (1 << 32) - 1
 _CGROUP_MEMORY_MAX = "/sys/fs/cgroup/memory.max"
 
 
@@ -185,26 +187,29 @@ class WeightedCanvas:
         then minus 2w on the entries with bit q set, for each lower
         neighbour q, all in place.
 
-        The subtractions cannot underflow: each partial result is at least
-        the final order(A | p), which is >= 0.  An addition can pass 2^32
-        on the way, but uint32 arithmetic is modulo 2^32 and every final
-        order is at most the total edge weight, which `from_picture` keeps
-        below 2^32, so each entry ends exact.
+        The table's dtype is the narrowest of uint8, uint16 and uint32 that
+        holds the total edge weight.  The build runs modulo 2^bits of that
+        dtype: gain[p] and 2w are reduced modulo 2^bits first, and every
+        addition and subtraction wraps.  Each final order lies between 0
+        and the total edge weight, which is below 2^bits (`from_picture`
+        keeps it below 2^32), so each entry ends exact.
 
-        The table takes 4 * 2^n bytes; a table larger than the host's
-        physical memory or the cgroup v2 memory limit raises
-        CanvasSizeError before anything is allocated.
+        The table takes itemsize * 2^n bytes: 1, 2 or 4 bytes per subset.
+        A table larger than the host's physical memory or the cgroup v2
+        memory limit raises CanvasSizeError before anything is allocated.
         """
         cached = self._order_cache.get("orders")
         if cached is not None:
             return cached
         n = self.npixels
-        need = 4 << n   # one uint32 per subset
+        dtype = np.min_scalar_type(sum(self.N - d for d in self.delta))
+        need = dtype.itemsize << n
         memory = _physical_memory()
         if memory is not None and need > memory:
             raise CanvasSizeError(
                 f"the order table of {n} pixels needs {need} bytes, more than "
                 f"the {memory} bytes of memory the process may use")
+        wrap = np.iinfo(dtype).max   # 2^bits - 1: reduces a scalar modulo 2^bits
         gain = [0] * n
         lower: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         for (a, b), d in zip(self.canvas.edges, self.delta):
@@ -213,14 +218,13 @@ class WeightedCanvas:
                 p, q = max(a, b), min(a, b)
                 gain[p] += w
                 gain[q] += w
-                # 2w can pass 2^32; its residue is the same step modulo 2^32
-                lower[p].append((q, 2 * w & _ORDER_LIMIT))
-        orders = np.zeros(1 << n, dtype=np.uint32)
+                lower[p].append((q, dtype.type(2 * w & wrap)))
+        orders = np.zeros(1 << n, dtype=dtype)
         for p in range(n):
             half = 1 << p
             upper = orders[half:2 * half]
-            np.add(orders[:half], np.uint32(gain[p]), out=upper)
+            np.add(orders[:half], dtype.type(gain[p] & wrap), out=upper)
             for q, w2 in lower[p]:
-                upper.reshape(-1, 2, 1 << q)[:, 1, :] -= np.uint32(w2)
+                upper.reshape(-1, 2, 1 << q)[:, 1, :] -= w2
         self._order_cache["orders"] = orders
         return orders

@@ -62,12 +62,13 @@ def _shares_pixel_certificate(o: Profile) -> bool:
     quadratic."""
     full = o.stratum.full_mask
     chosen = o.chosen
+    pairs = o.stratum.pairs.tolist()
     common = full
     for s in chosen:
         common &= s
     return (common != 0 and full in chosen
-            and len(chosen) == len(o.stratum.pairs) + 1
-            and all((c in chosen) != (c ^ full in chosen) for c in o.stratum.pairs)
+            and len(chosen) == len(pairs) + 1
+            and all((c in chosen) != (c ^ full in chosen) for c in pairs)
             and not any(s.bit_count() == 1 for s in chosen))
 
 
@@ -173,14 +174,14 @@ def build_chop_tree(wc: WeightedCanvas, k: int,
     if max(pool.pixel_orders) >= k:
         return None
     orders = pool.wc.all_orders()
-    pairs = np.array(pool.stratum(k).pairs, dtype=np.int64)
+    pairs = pool.stratum(k).pairs
     sides = np.concatenate((pairs, pairs ^ pool.full_mask))
 
     @cache
     def chop(part: int) -> ChopNode | None:
         if part.bit_count() == 1:
             return ChopNode(part, ())
-        inside = sides[(sides & ~part) == 0]
+        inside = sides[(sides & part) == sides]
         rest = inside ^ part
         for c1 in inside[(inside < rest) & (orders[rest] < k)].tolist():
             left = chop(c1)

@@ -51,7 +51,7 @@ def is_profile(o: Orientation) -> bool:
     if full not in chosen or 0 in chosen:
         return False
     allowed = {full}
-    for c in o.stratum.pairs:
+    for c in o.stratum.pairs.tolist():
         d = c ^ full
         if (c in chosen) == (d in chosen):
             return False
@@ -109,10 +109,11 @@ def is_focused(p: Orientation) -> bool:
 def is_principal(p: Orientation) -> bool:
     """True iff the profile is exactly 'everything containing some pixel p'."""
     full = p.stratum.full_mask
+    pairs = p.stratum.pairs.tolist()
     for pix in range(full.bit_length()):
         bit = 1 << pix
         if all((c & bit != 0) == (c in p.chosen)
-               for pair in p.stratum.pairs for c in (pair, pair ^ full)):
+               for pair in pairs for c in (pair, pair ^ full)):
             return True
     return False
 

@@ -98,7 +98,8 @@ def principal_sides(stratum: Stratum, pixel: int) -> frozenset[int]:
     """The chosen sides of the principal orientation toward `pixel`: the
     side containing it of every pair, and the full side."""
     full = stratum.full_mask
-    return frozenset([full, *(c if c >> pixel & 1 else c ^ full for c in stratum.pairs)])
+    return frozenset([full, *(c if c >> pixel & 1 else c ^ full
+                              for c in stratum.pairs.tolist())])
 
 
 def _focus_pixels(stratum: Stratum) -> list[int]:
@@ -125,7 +126,7 @@ class _AssignmentSearch:
         self.full = stratum.full_mask
         # branch on small underlying sets first: they decide the most
         self.pairs = sorted(
-            stratum.pairs,
+            stratum.pairs.tolist(),
             key=lambda c: (min(c.bit_count(), (c ^ self.full).bit_count()), c),
         )
         self.index: dict[int, int] = {}

@@ -50,12 +50,27 @@ class SeparationPool:
         cached = self._strata.get(k)
         if cached is None:
             # a side and its complement share a boundary, hence an order, so
-            # the pairs are the even (pixel-0-free) sides below k, without
-            # side 0: it has order 0 < k and so is always the first index
-            even = self.wc.all_orders()[0::2]
-            canon = np.nonzero(even < k)[0][1:]
-            canon = canon[np.argsort(even[canon], kind="stable")]
-            cached = self._strata[k] = Stratum(self, k, tuple((2 * canon).tolist()))
+            # each pair has one side in the contiguous half of the table that
+            # holds the sides without the top pixel.  Index 0 (order 0 < k)
+            # is the pair of 0 and the full side, not a line; an odd index i
+            # has pixel 0, so its canonical side is i ^ full.  Sides fit in
+            # 32 bits (HARD_PIXEL_CAP), so one uint64 key order << 32 | side
+            # sorts the pairs by (order, side).  Each temporary is dropped as
+            # soon as it is used: stratum 1 of a flat 5x5 has 2^24 - 1 pairs
+            orders = self.wc.all_orders()
+            sides = np.flatnonzero(orders[:len(orders) >> 1] < k)[1:].astype(np.uint32)
+            odd = sides & 1
+            odd *= np.uint32(self.full_mask)
+            sides ^= odd
+            del odd
+            key = orders[sides].astype(np.uint64)
+            key <<= 32
+            key |= sides
+            del sides
+            key.sort()
+            pairs = key.astype(np.uint32)   # the low 32 bits: the sides
+            pairs.flags.writeable = False
+            cached = self._strata[k] = Stratum(self, k, pairs)
         return cached
 
 
@@ -64,18 +79,21 @@ class Stratum:
     """All oriented separations of order below k, closed under inversion.
 
     A pool builds one Stratum per k and memoises it, so strata compare and
-    hash by identity, as pools do.  `pairs` holds the canonical side of
-    every line, sorted by (order, side); `members`, both sides of every
-    pair plus 0 and the full side, is derived from `pairs` on first use."""
+    hash by identity, as pools do.  `pairs` is a read-only uint32 array
+    of the canonical side of every line, sorted by (order, side); a
+    consumer that works on Python ints converts it once with `tolist()`.
+    `members`, both sides of every pair plus 0 and the full side, is
+    derived from `pairs` on first use."""
 
     pool: SeparationPool
     k: int
-    pairs: tuple[int, ...]           # canonical side (pixel 0 outside) per line
+    pairs: np.ndarray                # canonical side (pixel 0 outside) per line
 
     @cached_property
     def members(self) -> frozenset[int]:
         full = self.full_mask
-        return frozenset(self.pairs) | {c ^ full for c in self.pairs} | {0, full}
+        pairs = self.pairs.tolist()
+        return frozenset(pairs) | {c ^ full for c in pairs} | {0, full}
 
     @property
     def full_mask(self) -> int:

@@ -42,7 +42,7 @@ def min_distinguishers(p: Profile, q: Profile) -> frozenset[int]:
     if not distinguishable(p, q):
         raise ValueError("profiles are not distinguishable")
     order = p.pool.order_of
-    candidates = [c for c in p.pool.stratum(min(p.k, q.k)).pairs
+    candidates = [c for c in p.pool.stratum(min(p.k, q.k)).pairs.tolist()
                   if distinguishes(c, p, q)]
     best = min(map(order, candidates))
     return frozenset(c for c in candidates if order(c) == best)

@@ -20,7 +20,7 @@ from tanglescope.sepsys import Stratum
 
 def all_orientations(stratum: Stratum):
     full = stratum.full_mask
-    for choice in product(*(((c, c ^ full) for c in stratum.pairs))):
+    for choice in product(*(((c, c ^ full) for c in stratum.pairs.tolist()))):
         yield frozenset(choice) | {full}
 
 
@@ -80,7 +80,7 @@ class ReferenceSearch:
         self.unfocused = unfocused
         self.full = stratum.full_mask
         self.pairs = sorted(
-            stratum.pairs,
+            stratum.pairs.tolist(),
             key=lambda c: (min(c.bit_count(), (c ^ self.full).bit_count()), c),
         )
         self.index: dict[int, int] = {}

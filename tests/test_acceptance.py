@@ -94,7 +94,7 @@ def test_criterion_4_quadrants(capsys, wc_quad, pool_quad):
     tree = build_distinguishing_tree_set(quad_profiles, pool_quad)
     three_lines = len(tree) == 3
     # no 2 lines orientable by all four profiles distinguish every pair
-    candidates = pool_quad.stratum(3).pairs
+    candidates = pool_quad.stratum(3).pairs.tolist()
     pairs = [(p, q) for i, p in enumerate(quad_profiles)
              for q in quad_profiles[i + 1:]]
     no_two_suffice = not any(

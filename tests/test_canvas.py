@@ -169,18 +169,48 @@ def test_all_orders_large_offset():
         WeightedCanvas.from_picture(picture(2, 1, [0, 0]), 1 << 32)
 
 
+# (picture, N, total edge weight, narrowest dtype): the 2x1 picture of two
+# equal pixels has one edge of weight N; mono2x2's four edges have delta
+# (1, 1, 0, 0), so its total 4N - 2 is even and straddles each boundary
+_WIDTH_CASES = [
+    *(("2x1", total, total, dtype)
+      for total, dtype in ((255, np.uint8), (256, np.uint16), (65535, np.uint16),
+                           (65536, np.uint32), ((1 << 32) - 1, np.uint32))),
+    *(("mono2x2", N, 4 * N - 2, dtype)
+      for N, dtype in ((64, np.uint8), (65, np.uint16), (16384, np.uint16),
+                       (16385, np.uint32), (1 << 30, np.uint32))),
+]
+
+
+@pytest.mark.parametrize("name, N, total, dtype", _WIDTH_CASES)
+def test_order_table_width_boundaries(name, N, total, dtype):
+    pic = picture(2, 1, [0, 0]) if name == "2x1" else fixture(name)
+    wc = WeightedCanvas.from_picture(pic, N)
+    assert sum(N - d for d in wc.delta) == total
+    table = wc.all_orders()
+    assert table.dtype == dtype
+    assert table.tolist() == [wc.order(a) for a in range(wc.full_mask + 1)]
+
+
 def test_order_table_over_physical_memory_is_refused(monkeypatch):
     # the memory probe is patched, so nothing near the limit is allocated
-    wc = weighted(white2x2)   # 4 pixels: a 4 * 2^4 = 64-byte table
+    wc = weighted(white2x2)   # 4 pixels, total weight 0: a 1 * 2^4 = 16-byte table
+    monkeypatch.setattr(canvas_module, "_physical_memory", lambda: 15)
+    with pytest.raises(CanvasSizeError, match="needs 16 bytes"):
+        wc.all_orders()
+    monkeypatch.setattr(canvas_module, "_physical_memory", lambda: 16)
+    assert wc.all_orders().tolist() == [wc.order(a) for a in range(16)]
+    # a total weight of 4 * 70000 needs uint32: a 4 * 2^4 = 64-byte table
+    wide = WeightedCanvas.from_picture(white2x2(), 70000)
     monkeypatch.setattr(canvas_module, "_physical_memory", lambda: 63)
     with pytest.raises(CanvasSizeError, match="needs 64 bytes"):
-        wc.all_orders()
+        wide.all_orders()
     monkeypatch.setattr(canvas_module, "_physical_memory", lambda: 64)
-    assert wc.all_orders().tolist() == [wc.order(a) for a in range(16)]
-    # 32 pixels at the hard cap would ask for a 16 GiB table
+    assert wide.all_orders().tolist() == [wide.order(a) for a in range(16)]
+    # 32 flat pixels at the hard cap would ask for a 4 GiB uint8 table
     big = WeightedCanvas.from_picture(picture(8, 4, [0] * 32, pixel_cap=32))
-    monkeypatch.setattr(canvas_module, "_physical_memory", lambda: (16 << 30) - 1)
-    with pytest.raises(CanvasSizeError, match=f"needs {16 << 30} bytes"):
+    monkeypatch.setattr(canvas_module, "_physical_memory", lambda: (4 << 30) - 1)
+    with pytest.raises(CanvasSizeError, match=f"needs {4 << 30} bytes"):
         analyze(big, pixel_cap=32)
     assert not big._order_cache
 
@@ -199,11 +229,11 @@ def test_cgroup_memory_limit_is_read(monkeypatch, tmp_path):
     if host is not None:
         limit.write_text(f"{2 * host}\n")
         assert canvas_module._physical_memory() == host
-    wc = weighted(white2x2)   # a 64-byte order table
-    limit.write_text("63\n")
-    with pytest.raises(CanvasSizeError, match="needs 64 bytes"):
+    wc = weighted(white2x2)   # a 16-byte uint8 order table
+    limit.write_text("15\n")
+    with pytest.raises(CanvasSizeError, match="needs 16 bytes"):
         wc.all_orders()
-    limit.write_text("64\n")
+    limit.write_text("16\n")
     assert wc.all_orders().tolist() == [wc.order(a) for a in range(16)]
     # a path that cannot be read as a file leaves the host's figure
     monkeypatch.setattr(canvas_module, "_CGROUP_MEMORY_MAX", str(tmp_path))

@@ -6,9 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import tanglescope.duality as duality
+import tanglescope.report as report_module
 from corpus import (TWELVE_PIXEL_PICTURES, defect4x4, dot4x5, one_pixel, picture,
                     weighted)
 from oracles import _consistent, all_orientations, naive_fprime_stars, naive_tangles
@@ -181,8 +183,9 @@ def test_find_f_tangle_rejects_bad_principal_hits(monkeypatch, kind):
         # one side per pair and no single pixel, so only is_profile can
         # catch it
         full = stratum.full_mask
-        assert len(bad) == len(stratum.pairs) + 1 and full in bad
-        assert all((c in bad) != (c ^ full in bad) for c in stratum.pairs)
+        pairs = stratum.pairs.tolist()
+        assert len(bad) == len(pairs) + 1 and full in bad
+        assert all((c in bad) != (c ^ full in bad) for c in pairs)
         assert not any(s.bit_count() == 1 for s in bad)
         assert [o.chosen for o in checked] == [bad]
 
@@ -234,6 +237,25 @@ def test_analyze_skipped_verdicts(monkeypatch, wc_quad):
                             and v["chop_tree_valid"] is None for v in verdicts)
     assert report["verified"]["duality"] == "skipped"
     # the flag means that no verification failed
+    assert ok
+
+
+def test_flat5x5_stratum_is_a_uint32_array(monkeypatch):
+    # every order of the flat 5x5 is 0, so stratum 1 is the full universe:
+    # 2^24 - 1 pairs, held as uint32 sides and not as Python ints
+    pools = []
+    monkeypatch.setattr(report_module, "build_universe",
+                        lambda wc, cap: pools.append(build_universe(wc, cap)) or pools[-1])
+    wc = WeightedCanvas.from_picture(picture(5, 5, [0] * 25, pixel_cap=25))
+    report, ok = analyze(wc, pixel_cap=25)
+    assert wc.all_orders().dtype == np.uint8
+    (pool,) = pools
+    stratum = pool.stratum(1)
+    assert stratum.pairs.dtype == np.uint32
+    assert stratum.pairs.nbytes == 4 * ((1 << 24) - 1)
+    assert report["duality"]["verdicts"] == [{
+        "k": 1, "f_tangle": False, "chop_tree": None, "chop_tree_valid": None,
+        "ok": "skipped"}]
     assert ok
 
 

@@ -21,7 +21,7 @@ def _toward(stratum, pixel):
     full = stratum.full_mask
     return orientation_of(
         stratum,
-        [c if c >> pixel & 1 else c ^ full for c in stratum.pairs],
+        [c if c >> pixel & 1 else c ^ full for c in stratum.pairs.tolist()],
     )
 
 

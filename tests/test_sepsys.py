@@ -2,12 +2,13 @@ from __future__ import annotations
 
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import one_pixel, random_weighted, weighted
-from tanglescope import build_universe
+from corpus import one_pixel, picture, random_weighted, weighted
+from tanglescope import WeightedCanvas, build_universe, suggest_N
 from tanglescope.sepsys import consistent_sides, nested_sides, star_sides, void_sides
 
 
@@ -69,7 +70,7 @@ def test_build_universe(pool_mono):
 def test_strata(pool_mono):
     s1 = pool_mono.stratum(1)
     assert s1.members == {0, 0b1111, 0b0001, 0b1110}
-    assert s1.pairs == (0b1110,)
+    assert s1.pairs.tolist() == [0b1110]
     top = pool_mono.stratum(pool_mono.max_order + 1)
     assert len(top.members) == 16
     prev = frozenset()
@@ -92,9 +93,42 @@ def test_strata_match_table_scan(wc):
         stratum = pool.stratum(k)
         pairs = sorted((s for s in range(2, full, 2) if orders[s] < k),
                        key=lambda s: (orders[s], s))
-        assert stratum.pairs == tuple(pairs)
+        assert stratum.pairs.tolist() == pairs
         assert stratum.members == {s for s in range(full + 1) if orders[s] < k}
         assert pool.stratum(k) is stratum
+
+
+@st.composite
+def _any_width_weighted(draw):
+    """A random picture of 1 to 9 pixels, 1-px and 2-px canvases included,
+    with an offset N that puts the order table in uint8, uint16 or uint32."""
+    width = draw(st.integers(1, 9))
+    height = draw(st.integers(1, 9 // width))
+    n = draw(st.integers(1, 2))
+    values = draw(st.lists(st.integers(0, (1 << n) - 1),
+                           min_size=width * height, max_size=width * height))
+    pic = picture(width, height, values, n=n)
+    extra = draw(st.one_of(st.integers(0, 20), st.integers(300, 20000),
+                           st.integers(70000, 10**8)))
+    return WeightedCanvas.from_picture(pic, suggest_N(pic) + extra)
+
+
+@settings(deadline=None, max_examples=60)
+@given(_any_width_weighted())
+def test_strata_match_brute_force_at_every_width(wc):
+    pool = build_universe(wc)
+    full = pool.full_mask
+    orders = [wc.order(s) for s in range(full + 1)]
+    total = sum(wc.N - d for d in wc.delta)
+    assert wc.all_orders().itemsize == (1 if total < 1 << 8 else 2 if total < 1 << 16 else 4)
+    # strata change only where k passes an order
+    for k in sorted({1} | {o + 1 for o in orders}):
+        stratum = pool.stratum(k)
+        assert stratum.pairs.dtype == np.uint32
+        expected = sorted((orders[s], s) for s in range(2, full, 2) if orders[s] < k)
+        assert stratum.pairs.tolist() == [s for _, s in expected]
+        with pytest.raises(ValueError):
+            stratum.pairs[:] = 0
 
 
 @settings(deadline=None, max_examples=300)

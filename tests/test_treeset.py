@@ -123,7 +123,7 @@ def test_verify_flags_inefficient_substitution(quad_reps, pool_quad, quad_tree):
              and not any(distinguishes(l, p, q) for l in lines)]
     stratum = pool_quad.stratum(min(p.k for p in quad_reps))
     substitute = next(
-        c for c in sorted(stratum.pairs, key=lambda c: -pool_quad.order_of(c))
+        c for c in sorted(stratum.pairs.tolist(), key=lambda c: -pool_quad.order_of(c))
         if all(distinguishes(c, p, q) for p, q in pairs)
         and pool_quad.order_of(c) > pool_quad.order_of(dropped)
     )
