@@ -75,29 +75,57 @@ def _shares_pixel_certificate(o: Profile) -> bool:
 def find_f_tangle(stratum: Stratum) -> Profile | None:
     """An F-tangle of the stratum for the standard F, or None.
 
-    A level where some pixel p has order({p}) >= k is answered in closed
-    form, with the principal orientation toward the lowest such p: the
-    side containing p of every pair.  It is an F-tangle: any two of its
-    chosen sides share p, so it is consistent and no set of its sides is
-    void, and it chooses no single pixel, since the only candidate, {p},
-    is not in the stratum.  It is also an unfocused profile, as for
-    chosen x and y the side (x & y)* misses p.  Any other level the pool
-    has already listed (`f_tangles`) answers with the first of them, and
-    the rest run the find-one search.
+    The checks run in this order, and the first that applies answers:
+
+    - **Heavy pixel.**  A level where some pixel p has order({p}) >= k is
+      answered in closed form, with the principal orientation toward the
+      lowest such p: the side containing p of every pair.  It is an
+      F-tangle: any two of its chosen sides share p, so it is consistent
+      and no set of its sides is void, and it chooses no single pixel,
+      since the only candidate, {p}, is not in the stratum.  It is also an
+      unfocused profile, as for chosen x and y the side (x & y)* misses p.
+    - **Listed level.**  A level the pool has already listed (`f_tangles`)
+      answers with the first of them.
+    - **Chop tree.**  On a stratum of at most CHOP_TREE_PAIR_LIMIT pairs,
+      a chop tree that `verify_chop_tree` accepts proves that no F-tangle
+      exists (the easy half of the duality theorem).  The level is listed
+      as empty and the answer is None, with no search.  A tree that fails
+      verification is an internal defect.
+    - **Search.**  The rest run the find-one search.
+
+    The easy half.  Let T be a verified chop tree at k and suppose an
+    F-tangle t exists at k.  Every part of T has order below k, so t
+    orients it.  The two roots are the sides of one line, so t chooses one
+    of them.  Whenever t chooses the part X of a node with children c1 and
+    c2, it chooses c1 or c2: otherwise it chooses X, c1* and c2*, and
+    since c1 and c2 split X, {X, c1*, c2*} is a void 3-star, which is in F.
+    Parts shrink going down, so t chooses some leaf {p}, a single pixel,
+    which is in F too.  Either way t does not avoid F, a contradiction.
+    A one-pixel canvas has the one root {p}, the full side, which every
+    orientation chooses.
 
     Every hit is checked before it is returned.  A hit whose chosen sides
-    share a pixel gets the O(pairs) certificate of the argument above
-    (`_shares_pixel_certificate`); any other hit gets `is_focused` and
-    `is_profile`.  A hit failing them is an internal defect.
+    share a pixel gets the O(pairs) certificate of the heavy-pixel
+    argument (`_shares_pixel_certificate`); any other hit gets
+    `is_focused` and `is_profile`.  A hit failing them is an internal
+    defect.
     """
     pool = stratum.pool
-    heavy = [p for p, order in enumerate(pool.pixel_orders) if order >= stratum.k]
-    listed = pool._f_tangles.get(stratum.k)
+    k = stratum.k
+    heavy = [p for p, order in enumerate(pool.pixel_orders) if order >= k]
+    listed = pool._f_tangles.get(k)
     if heavy:
         hit = Profile(stratum, principal_sides(stratum, heavy[0]))
     elif listed is not None:
         hit = listed[0] if listed else None
     else:
+        tree, report = (_checked_chop_tree(pool, k)
+                        if len(stratum.pairs) <= CHOP_TREE_PAIR_LIMIT else (None, None))
+        if tree is not None:
+            if not report.ok:
+                raise SearchDefect(f"the chop tree at k={k} failed verification")
+            pool._f_tangles[k] = ()
+            return None
         chosen = find_star_avoiding_orientation(stratum)
         hit = None if chosen is None else Profile(stratum, chosen)
     if hit is None or _shares_pixel_certificate(hit):
@@ -253,6 +281,18 @@ def verify_chop_tree(tree: ChopTree, wc: WeightedCanvas,
     return ChopTreeReport(laminar, orders_below_k, leaves_biject_pixels, stars_ok)
 
 
+def _checked_chop_tree(pool: SeparationPool,
+                       k: int) -> tuple[ChopTree | None, ChopTreeReport | None]:
+    """The level's chop tree and the verifier's report on it, or (None,
+    None) where no tree exists; each is made once per pool and level."""
+    found = pool._chop_trees.get(k)
+    if found is None:
+        tree = build_chop_tree(pool.wc, k, pool)
+        report = None if tree is None else verify_chop_tree(tree, pool.wc, pool)
+        found = pool._chop_trees[k] = (tree, report)
+    return found
+
+
 # -- the dichotomy and resolution ---------------------------------------------
 
 
@@ -280,14 +320,22 @@ class DualityReport:
 
 
 def verify_duality(pool: SeparationPool, k: int) -> DualityReport:
-    """Run both sides of the dichotomy; exactly one must succeed.  The
-    chop-tree side is skipped above CHOP_TREE_PAIR_LIMIT pairs."""
+    """The level's F-tangle from `find_f_tangle` and its chop tree with
+    the verifier's report; by the duality theorem exactly one of the two
+    exists.  The chop-tree side is skipped above CHOP_TREE_PAIR_LIMIT
+    pairs.
+
+    Where a tree exists, `find_f_tangle` has answered None from that
+    tree, so exclusivity there is the easy half of the duality theorem,
+    and the check that runs is the tree's verification.  Where no tree
+    exists, the F-tangle comes from the closed form or the search,
+    independently of the failed tree search.  The tree and its report are
+    built once per pool and level, whichever of the two asks first."""
     stratum = pool.stratum(k)
     tangle = find_f_tangle(stratum)
     if len(stratum.pairs) > CHOP_TREE_PAIR_LIMIT:
         return DualityReport(k, tangle, None, None, True)
-    tree = build_chop_tree(pool.wc, k, pool)
-    report = verify_chop_tree(tree, pool.wc, pool) if tree is not None else None
+    tree, report = _checked_chop_tree(pool, k)
     return DualityReport(k, tangle, tree, report, False)
 
 
@@ -322,8 +370,9 @@ def max_supported_resolution(wc: WeightedCanvas, subset: int | None = None,
     The answer is at least m = max_p order({p}): at every k <= m the
     principal orientation toward a pixel of order m is an F-tangle (see
     `find_f_tangle`), and no chop tree exists, since that pixel's leaf
-    would have order >= k.  So the sweep starts at k = m + 1, where the
-    search decides."""
+    would have order >= k.  So the sweep starts at k = m + 1.  There,
+    `find_f_tangle` decides a level by a verified chop tree where one
+    exists, and by the search only where none does."""
     if subset is not None:
         wc = induced_subcanvas(wc, subset)
     pool = build_universe(wc, pixel_cap)

@@ -32,18 +32,15 @@ def select_representatives(region_list) -> list[Profile]:
 
 def analyze(wc: WeightedCanvas,
             pixel_cap: int = DEFAULT_PIXEL_CAP) -> tuple[dict, bool]:
-    """Full analysis; returns (report, all verifications passed)."""
+    """Full analysis; returns (report, all verifications passed).
+
+    The verdict sweep runs before `regions`.  Its last level K* has no
+    F-tangle, and where `find_f_tangle` settles K* by a verified chop
+    tree it lists the level as empty, so `regions` reads that list
+    instead of enumerating the level.  The sweep's other levels are
+    answered in closed form or by a find-one search, and `regions`
+    enumerates them as before."""
     pool = build_universe(wc, pixel_cap)
-    region_list = regions(pool)
-
-    reps = select_representatives(region_list)
-    if len(reps) >= 2:
-        tree = build_distinguishing_tree_set(reps, pool)
-        tree_report = verify_tree_set(tree, reps)
-    else:
-        tree = TreeSet(pool, ())
-        tree_report = TreeSetReport(True, True, True, True)
-
     # one sweep gives the verdicts and the resolution: F-tangle existence
     # is downward-closed in k, so stop after the first k without one
     verdicts = []
@@ -63,6 +60,16 @@ def analyze(wc: WeightedCanvas,
         resolution = k
     oks = [v["ok"] for v in verdicts]
     duality_ok = False if False in oks else "skipped" if "skipped" in oks else True
+
+    region_list = regions(pool)
+
+    reps = select_representatives(region_list)
+    if len(reps) >= 2:
+        tree = build_distinguishing_tree_set(reps, pool)
+        tree_report = verify_tree_set(tree, reps)
+    else:
+        tree = TreeSet(pool, ())
+        tree_report = TreeSetReport(True, True, True, True)
 
     region_entries = []
     for i, rho in enumerate(region_list):

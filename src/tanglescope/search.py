@@ -70,6 +70,13 @@ both sides of the duality follow from the definitions:
   >= k.  `duality.build_chop_tree` returns None unsearched.
 
 So the search decides only levels where every {p} lies in the stratum.
+Of those, `duality.find_f_tangle` settles every level that has a chop
+tree with that tree, once `duality.verify_chop_tree` accepts it: an
+F-tangle would have to choose one of the tree's void 3-stars or leaves,
+all of which are in F (the easy half of the duality theorem; the proof
+is in `find_f_tangle`).  The find-one search is left the levels without
+a tree, which are exactly the levels with an F-tangle, and the strata
+above `duality.CHOP_TREE_PAIR_LIMIT` pairs, where no tree is tried.
 
 This module holds no checkers of its own: `duality.find_f_tangle`
 re-verifies every F-tangle hit, with an O(pairs) certificate when its

@@ -24,7 +24,11 @@ class SeparationPool:
     def __init__(self, wc: WeightedCanvas):
         self.wc = wc
         self.full_mask = wc.full_mask
-        self._f_tangles: dict[int, tuple] = {}   # profiles.f_tangles, by k
+        # the F-tangles of level k: listed by profiles.f_tangles, or () where
+        # duality.find_f_tangle found a verified chop tree
+        self._f_tangles: dict[int, tuple] = {}
+        # (chop tree or None, its verifier's report or None), by k
+        self._chop_trees: dict[int, tuple] = {}
         self._strata: dict[int, Stratum] = {}
 
     # -- orders --------------------------------------------------------------

@@ -11,12 +11,13 @@ from corpus import (LARGE_PICTURES, SMALL_PICTURES, TWELVE_PIXEL_PICTURES,
 from oracles import naive_profiles
 from tanglescope import (analyze, build_chop_tree, build_distinguishing_tree_set,
                          build_universe, distinguishes, encode_report,
-                         enumerate_profiles, find_f_tangle, is_focused,
+                         enumerate_profiles, is_focused,
                          max_supported_resolution, regions, verify_chop_tree,
                          verify_tree_set)
 from tanglescope.duality import enumerate_f_prime_tangles
 from tanglescope.fixtures import fixture_canvas, noisedisc_masks
 from tanglescope.report import select_representatives
+from tanglescope.search import find_star_avoiding_orientation
 
 
 def _verdict(capsys, number: int, label: str, ok: bool, elapsed: float):
@@ -114,9 +115,12 @@ def test_criterion_5_duality_dichotomy(capsys):
         wc = weighted(TWELVE_PIXEL_PICTURES[name])
         assert wc.npixels <= 12
         pool = build_universe(wc)
+        # the tangle side comes from the find-one engine on a pool of its
+        # own: find_f_tangle answers a level with a chop tree from that tree
+        searched = build_universe(wc)
         chop_seen = False
         for k in range(1, pool.max_order + 2):
-            tangle = find_f_tangle(pool.stratum(k))
+            tangle = find_star_avoiding_orientation(searched.stratum(k))
             tree = build_chop_tree(wc, k, pool)
             if (tangle is None) == (tree is None):
                 ok = False

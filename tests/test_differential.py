@@ -10,7 +10,7 @@ from corpus import random_weighted
 from oracles import naive_profiles, naive_tangles
 from tanglescope import (StarSetF, analyze, build_chop_tree, build_universe,
                          find_f_tangle, is_focused, max_supported_resolution,
-                         verify_duality)
+                         verify_chop_tree, verify_duality)
 from tanglescope.duality import enumerate_f_prime_tangles
 from tanglescope.profiles import f_tangles, profile_levels
 from tanglescope.search import find_star_avoiding_orientation
@@ -25,7 +25,8 @@ def test_engines_match_oracles_on_random_pictures(wc):
     pool = build_universe(wc)
     levels = profile_levels(pool)
     # a pool with no listed level: find_f_tangle answers its principal
-    # levels in closed form and searches the others
+    # levels in closed form, settles the levels with a chop tree by that
+    # tree and searches the others
     fresh = build_universe(wc)
     for k, profs in levels.items():
         stratum = pool.stratum(k)
@@ -51,7 +52,12 @@ def test_engines_match_oracles_on_random_pictures(wc):
             for hit in (listed, found):
                 assert hit is None or hit.chosen in naive
             assert searched is None or searched in naive
-    assert not fresh._f_tangles
+    # the fresh pool lists only the levels a verified chop tree settled;
+    # the tree is rebuilt and re-verified on a pool of its own
+    for k, listed in fresh._f_tangles.items():
+        assert listed == ()
+        tree = build_chop_tree(wc, k)
+        assert tree is not None and verify_chop_tree(tree, wc).ok
     unfocused = [k for k, profs in levels.items()
                  if not all(is_focused(p) for p in profs)]
     resolution = max_supported_resolution(wc)

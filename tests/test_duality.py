@@ -4,12 +4,14 @@ import dataclasses
 import gc
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import tanglescope.duality as duality
+import tanglescope.profiles as profiles_module
 import tanglescope.report as report_module
 from corpus import (TWELVE_PIXEL_PICTURES, defect4x4, dot4x5, one_pixel, picture,
                     weighted)
@@ -22,7 +24,8 @@ from tanglescope.duality import (ChopNode, ChopTree, enumerate_f_prime_tangles,
                                  induced_subcanvas)
 from tanglescope.fixtures import fixture_canvas, noisedisc_masks
 from tanglescope.profiles import f_tangles, is_principal, orientation_of
-from tanglescope.search import SearchDefect, principal_sides
+from tanglescope.search import (SearchDefect, find_star_avoiding_orientation,
+                                principal_sides)
 
 
 def test_standard_f_membership(pool_mono):
@@ -119,6 +122,10 @@ def test_find_f_tangle_rejects_bad_hits(monkeypatch, canvas, k, wanted):
     stratum = _unprincipal_stratum(canvas, k)
     bad = _first_orientation(stratum, wanted)
     searched = []
+    # both levels have a chop tree, which would settle them unsearched:
+    # hide it, so that the planted hit comes from the search
+    assert build_chop_tree(stratum.pool.wc, k) is not None
+    monkeypatch.setattr(duality, "build_chop_tree", lambda wc, k, pool: None)
     monkeypatch.setattr(duality, "find_star_avoiding_orientation",
                         lambda s: searched.append(s) or bad)
     with pytest.raises(SearchDefect):
@@ -205,6 +212,73 @@ def test_principal_levels_are_not_searched(monkeypatch, wc_quad):
         assert build_chop_tree(wc_quad, k, fresh) is None
     # the chop search reads the stratum's pairs; the closed form builds none
     assert not fresh._strata
+
+
+def test_find_f_tangle_rejects_unverified_chop_tree(monkeypatch, wc_mono):
+    # mono2x2 k=3 is settled by its chop tree; a planted tree that hangs
+    # pixel 2 as a third root fails verification (its star at 0b0111 is
+    # not void), and the level is neither searched nor listed
+    leaf = {p: ChopNode(1 << p, ()) for p in range(4)}
+    bad = ChopTree(3, (ChopNode(0b0111, (leaf[0], leaf[1])), leaf[3], leaf[2]))
+    stratum = _unprincipal_stratum(_mono2x2, 3)
+    assert not verify_chop_tree(bad, wc_mono, stratum.pool).ok
+
+    def no_search(stratum):
+        raise AssertionError("a level with a chop tree reached the search")
+    monkeypatch.setattr(duality, "build_chop_tree", lambda wc, k, pool: bad)
+    monkeypatch.setattr(duality, "find_star_avoiding_orientation", no_search)
+    with pytest.raises(SearchDefect):
+        find_f_tangle(stratum)
+    assert 3 not in stratum.pool._f_tangles
+
+
+def _swept_resolution(wc):
+    # a plain sweep from k=1 over the find-one engine alone
+    pool = build_universe(wc)
+    best = 0
+    for k in range(1, pool.max_order + 2):
+        if find_star_avoiding_orientation(pool.stratum(k)) is None:
+            break
+        best = k
+    return best
+
+
+def test_resolution_needs_no_search(monkeypatch, wc_mono):
+    # every level these sweeps decide is principal or has a chop tree
+    wc = fixture_canvas("noisedisc4x4")
+    block, rest = noisedisc_masks()
+    cases = [(wc_mono, None), (wc, block), (wc, rest)]
+    expected = [_swept_resolution(w if subset is None else induced_subcanvas(w, subset))
+                for w, subset in cases]
+
+    def no_search(stratum):
+        raise AssertionError("the resolution sweep reached the search")
+    monkeypatch.setattr(duality, "find_star_avoiding_orientation", no_search)
+    got = [max_supported_resolution(w, subset=subset) for w, subset in cases]
+    assert got == expected
+    assert got[0] == 2 and got[1] > got[2]
+
+
+def test_analyze_settles_chop_tree_levels_once(monkeypatch, wc_quad):
+    # regions does not enumerate a level that the sweep settled by its
+    # chop tree, and each level's tree is built and verified at most once
+    enumerated, built, verified = [], Counter(), Counter()
+    enumerate_orientations = profiles_module.enumerate_profile_orientations
+    build, verify = duality.build_chop_tree, duality.verify_chop_tree
+    monkeypatch.setattr(profiles_module, "enumerate_profile_orientations",
+                        lambda s: enumerated.append(s.k) or enumerate_orientations(s))
+    monkeypatch.setattr(duality, "build_chop_tree",
+                        lambda wc, k, pool: built.update([k]) or build(wc, k, pool))
+    monkeypatch.setattr(duality, "verify_chop_tree",
+                        lambda tree, wc, pool: verified.update([tree.k])
+                        or verify(tree, wc, pool))
+    report, ok = analyze(wc_quad)
+    assert ok
+    settled = {v["k"] for v in report["duality"]["verdicts"] if v["chop_tree"]}
+    assert settled == {6}
+    assert enumerated and not settled & set(enumerated)
+    assert set(verified) == settled
+    assert max(built.values()) == max(verified.values()) == 1
 
 
 def test_fprime_matches_naive_oracle(pool_mono):
