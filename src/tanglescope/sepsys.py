@@ -10,11 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 
 import numpy as np
 
 from .canvas import DEFAULT_PIXEL_CAP, HARD_PIXEL_CAP, CanvasSizeError, WeightedCanvas
+
+# strata read the half order table in blocks of 2^12 entries (4 KiB of a
+# uint8 table), skipping every block whose minimum order is at least k
+_BLOCK_BITS = 12
 
 
 class SeparationPool:
@@ -38,7 +41,8 @@ class SeparationPool:
 
     @cached_property
     def max_order(self) -> int:
-        return int(self.wc.all_orders().max())
+        # a side and its complement share an order, so half the table has them all
+        return int(_half(self.wc.all_orders()).max())
 
     @cached_property
     def pixel_orders(self) -> tuple[int, ...]:
@@ -48,6 +52,35 @@ class SeparationPool:
 
     # -- strata --------------------------------------------------------------
 
+    @cached_property
+    def _block_min(self) -> np.ndarray:
+        """The minimum order of each 2^_BLOCK_BITS-entry block of the half
+        table, in one pass; read by strata of 14 pixels or more."""
+        half = _half(self.wc.all_orders())
+        return half.reshape(-1, 1 << _BLOCK_BITS).min(axis=1)
+
+    def _below(self, k: int) -> np.ndarray:
+        """The indices of the half table with order below k, ascending, as
+        uint32.  Only the runs of blocks whose minimum is below k are read;
+        the first run starts at block 0, which holds index 0 (order 0)."""
+        half = _half(self.wc.all_orders())
+        if len(half) <= 1 << _BLOCK_BITS:
+            bounds = [0, 1]      # one block: scan it without an index
+        else:
+            # the block edges of the runs, alternately start and end
+            below = self._block_min < k
+            bounds = [0, *(np.flatnonzero(below[1:] != below[:-1]) + 1).tolist()]
+            if below[-1]:
+                bounds.append(len(below))
+        parts = []
+        for lo, hi in zip(bounds[::2], bounds[1::2]):
+            lo <<= _BLOCK_BITS
+            part = np.flatnonzero(half[lo:hi << _BLOCK_BITS] < k).astype(np.uint32)
+            if lo:
+                part += np.uint32(lo)
+            parts.append(part)
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
     def stratum(self, k: int) -> "Stratum":
         if k < 1:
             raise ValueError("stratum index k must be at least 1")
@@ -55,14 +88,16 @@ class SeparationPool:
         if cached is None:
             # a side and its complement share a boundary, hence an order, so
             # each pair has one side in the contiguous half of the table that
-            # holds the sides without the top pixel.  Index 0 (order 0 < k)
-            # is the pair of 0 and the full side, not a line; an odd index i
-            # has pixel 0, so its canonical side is i ^ full.  Sides fit in
-            # 32 bits (HARD_PIXEL_CAP), so one uint64 key order << 32 | side
-            # sorts the pairs by (order, side).  Each temporary is dropped as
-            # soon as it is used: stratum 1 of a flat 5x5 has 2^24 - 1 pairs
+            # holds the sides without the top pixel, and `_below` reads only
+            # the blocks of that half whose minimum order is below k.  Index
+            # 0 (order 0 < k) is the pair of 0 and the full side, not a
+            # line; an odd index i has pixel 0, so its canonical side is
+            # i ^ full.  Sides fit in 32 bits (HARD_PIXEL_CAP), so one uint64
+            # key order << 32 | side sorts the pairs by (order, side).  Each
+            # temporary is dropped as soon as it is used: stratum 1 of a flat
+            # 5x5 has 2^24 - 1 pairs
             orders = self.wc.all_orders()
-            sides = np.flatnonzero(orders[:len(orders) >> 1] < k)[1:].astype(np.uint32)
+            sides = self._below(k)[1:]
             odd = sides & 1
             odd *= np.uint32(self.full_mask)
             sides ^= odd
@@ -76,6 +111,11 @@ class SeparationPool:
             pairs.flags.writeable = False
             cached = self._strata[k] = Stratum(self, k, pairs)
         return cached
+
+
+def _half(orders: np.ndarray) -> np.ndarray:
+    """The half of the order table that holds the sides without the top pixel."""
+    return orders[:len(orders) >> 1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,8 +165,14 @@ def nested_sides(x: int, y: int, full: int) -> bool:
 
 
 def laminar_sides(sides, full: int) -> bool:
-    """True iff every two sides are nested."""
-    return all(nested_sides(x, y, full) for x, y in combinations(sides, 2))
+    """True iff every two sides are nested (`nested_sides`, inlined)."""
+    sides = list(sides)
+    for i, x in enumerate(sides):
+        for y in sides[i + 1:]:
+            meet = x & y
+            if meet != x and meet != y and meet and x | y != full:
+                return False
+    return True
 
 
 def star_sides(sides, full: int) -> bool:

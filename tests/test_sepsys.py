@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 
 from corpus import one_pixel, picture, random_weighted, weighted
 from tanglescope import WeightedCanvas, build_universe, suggest_N
-from tanglescope.sepsys import consistent_sides, nested_sides, star_sides, void_sides
+from tanglescope.sepsys import (_BLOCK_BITS, consistent_sides, laminar_sides, nested_sides,
+                                star_sides, void_sides)
 
 
 def test_inverse(pool_mono):
@@ -129,6 +131,78 @@ def test_strata_match_brute_force_at_every_width(wc):
         assert stratum.pairs.tolist() == [s for _, s in expected]
         with pytest.raises(ValueError):
             stratum.pairs[:] = 0
+
+
+# offsets N above suggest_N that put a 14-16 px order table in each width
+_EXTRA_N = {np.uint8: st.integers(0, 3), np.uint16: st.integers(300, 2000),
+            np.uint32: st.integers(70000, 10**7)}
+
+
+@st.composite
+def _multi_block_weighted(draw, dtype):
+    """A random 1- or 2-bit picture of 14 to 16 pixels, so that the half
+    order table spans 2 to 8 index blocks, whose order table is `dtype`."""
+    width, height = draw(st.sampled_from([(2, 7), (7, 2), (3, 5), (5, 3), (2, 8)]))
+    n = draw(st.integers(1, 2))
+    values = draw(st.lists(st.integers(0, (1 << n) - 1),
+                           min_size=width * height, max_size=width * height))
+    pic = picture(width, height, values, n=n)
+    wc = WeightedCanvas.from_picture(pic, suggest_N(pic) + draw(_EXTRA_N[dtype]))
+    assert wc.all_orders().dtype == dtype
+    return wc
+
+
+@pytest.mark.parametrize("dtype", list(_EXTRA_N), ids=lambda d: d.__name__)
+def test_multi_block_strata_match_table_scan(dtype):
+    levels = set()
+
+    @settings(deadline=None, max_examples=3)
+    @given(_multi_block_weighted(dtype))
+    def check(wc):
+        pool = build_universe(wc)
+        orders = wc.all_orders()
+        assert pool.max_order == int(orders.max())
+        half = orders[:len(orders) >> 1]
+        block_min = half.reshape(-1, 1 << _BLOCK_BITS).min(axis=1)
+        assert len(block_min) >= 2
+        evens = np.arange(2, len(orders), 2)   # canonical sides: pixel 0 outside
+        # strata change only where k passes an order
+        for k in [1] + [o + 1 for o in np.unique(orders).tolist()]:
+            stratum = pool.stratum(k)
+            sides = evens[orders[evens] < k]
+            expected = sides[np.lexsort((sides, orders[sides]))]
+            assert stratum.pairs.dtype == np.uint32 and not stratum.pairs.flags.writeable
+            assert np.array_equal(stratum.pairs, expected)
+            members = np.fromiter(stratum.members, np.int64, len(stratum.members))
+            members.sort()
+            assert np.array_equal(members, np.flatnonzero(orders < k))
+            levels.add("skips blocks" if (block_min >= k).any() else "every block")
+
+    check()
+    assert levels == {"skips blocks", "every block"}
+
+
+def test_glyph_strata_read_few_blocks(wc_minil):
+    # the L glyph's low strata come from a few hundred of its 4096 blocks,
+    # with no mask or index array the size of the table
+    wc_minil.all_orders()
+    pool = build_universe(wc_minil, pixel_cap=25)
+    tracemalloc.start()
+    try:
+        for k in range(1, 6):
+            pool.stratum(k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.integers(0, 15), max_size=6))
+def test_laminar_sides_is_pairwise_nested(sides):
+    full = 15
+    assert laminar_sides(sides, full) == all(
+        nested_sides(x, y, full) for x, y in combinations(sides, 2))
 
 
 @settings(deadline=None, max_examples=300)
