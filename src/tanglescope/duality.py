@@ -10,8 +10,9 @@ import numpy as np
 
 from .canvas import DEFAULT_PIXEL_CAP, Canvas, Picture, WeightedCanvas
 from .profiles import Profile, is_focused, is_profile
-from .search import (SearchDefect, enumerate_fprime_orientations,
-                     find_star_avoiding_orientation, principal_sides)
+from .search import (SearchDefect, _shares_pixel_certificate,
+                     enumerate_fprime_orientations, find_star_avoiding_orientation,
+                     principal_sides)
 from .sepsys import (SeparationPool, Stratum, build_universe, laminar_sides,
                      star_sides, void_sides)
 
@@ -51,25 +52,6 @@ class StarSetF:
                 if combo in self:
                     out.append(frozenset(combo))
         return out
-
-
-def _shares_pixel_certificate(o: Profile) -> bool:
-    """True when `o` chooses exactly one side of every pair plus the full
-    side, one pixel p lies in every chosen side, and no chosen side is a
-    single pixel.  Such an orientation is an unfocused profile: any two
-    chosen sides x, y share p, so they are not disjoint and (x & y)*,
-    which misses p, is not chosen.  O(pairs), where `is_profile` is
-    quadratic."""
-    full = o.stratum.full_mask
-    chosen = o.chosen
-    pairs = o.stratum.pairs.tolist()
-    common = full
-    for s in chosen:
-        common &= s
-    return (common != 0 and full in chosen
-            and len(chosen) == len(pairs) + 1
-            and all((c in chosen) != (c ^ full in chosen) for c in pairs)
-            and not any(s.bit_count() == 1 for s in chosen))
 
 
 def find_f_tangle(stratum: Stratum) -> Profile | None:
@@ -128,7 +110,7 @@ def find_f_tangle(stratum: Stratum) -> Profile | None:
             return None
         chosen = find_star_avoiding_orientation(stratum)
         hit = None if chosen is None else Profile(stratum, chosen)
-    if hit is None or _shares_pixel_certificate(hit):
+    if hit is None or _shares_pixel_certificate(hit.stratum, hit.chosen):
         return hit
     # this covers F-avoidance: single pixels fail as focused, and a void
     # <=3-star of an orientation is {x, y, (x & y)*}, a profile violation

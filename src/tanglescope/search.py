@@ -15,12 +15,15 @@ propagates to a fixed point after every decision:
   the only difference between it and the F'-tangle search.
 
 Each rule is a direct consequence of the orientation property being
-searched for, and each is detected the moment the last side of a
-violating configuration is assigned: a violation always consists of sides
-x, y whose forced consequence contradicts a third assigned side, and each
-assignment checks the new side against every chosen side it co-points
-with.  Leaves of the search are therefore exactly the orientations
-sought, with no post-filtering.
+searched for, so forcing never prunes an orientation sought.  It is not
+complete, though: a side forced as a superset runs no co-pointing check
+(below), so a complete assignment can still hold a star {r, s, (r & s)*}.
+Every leaf is therefore certified before it is kept (`_certified_leaf`):
+by the O(pairs) shared-pixel certificate where its chosen sides share a
+pixel, and by the definition-level `profiles.is_profile` otherwise.  A
+leaf failing both is dropped and counted (`dropped`), and a find-one
+search goes on past it.  In the F-tangle search a certified leaf is an
+F-tangle, as single-pixel sides were rejected on assignment.
 
 Forcing runs on Python-int bitsets over the pair indices.  One column per
 pixel p, built once per search from the pairs' bit matrix, has bit i set
@@ -35,15 +38,22 @@ With `as_c` and `as_d` the pairs whose canonical or other side is chosen:
 - the chosen sides co-pointing with s are the chosen supersets of s*,
   `(sup_c(s*) & as_c) | (sup_d(s*) & as_d)`, and each one's intersection
   with s is looked up by side;
-- a side forced as a superset of s skips its own superset forcing: its
-  supersets are supersets of s, and the free ones were queued with it.
-  It still runs its co-pointing check;
+- a side forced as a superset of s skips its own superset forcing, as
+  its supersets are supersets of s and the free ones were queued with
+  it, and skips its co-pointing check, leaving the stars it would catch
+  to the leaf check.  Only decided sides and forced intersections run it;
 - the next decision is the lowest free pair at or after the last one.
 
-Forcing is monotone, so the closure of a decision, or the conflict it
-runs into, does not depend on the order in which the queue is worked
-off, and the search visits the same leaves in the same order as a scan
-over every pair per assignment would.
+Weaker forcing changes neither the kept leaves nor their order.  When
+pair i is decided every earlier pair is assigned, so two leaves part at
+the decision on the first pair where they differ, and the one holding
+the side tried first there (the larger side) comes first: the search
+lists its leaves in this lexicographic order whatever sound forcing it
+runs.
+Forcing that skips a check only adds leaves, the certified ones are
+still exactly the orientations sought, and so the kept leaves, their
+order and the first of them (the find-one hit) are those of an engine
+that runs every co-pointing check.
 
 Profiles are assembled, not searched for.  A profile that chooses some
 {p} contains every side containing p, so it is the principal orientation
@@ -78,12 +88,11 @@ is in `find_f_tangle`).  The find-one search is left the levels without
 a tree, which are exactly the levels with an F-tangle, and the strata
 above `duality.CHOP_TREE_PAIR_LIMIT` pairs, where no tree is tried.
 
-This module holds no checkers of its own: `duality.find_f_tangle`
-re-verifies every F-tangle hit, with an O(pairs) certificate when its
-chosen sides share a pixel and with the definition-level
-`profiles.is_profile` and `profiles.is_focused` otherwise, and the test
-suite compares both searches and the assembled profiles against
-brute-force oracles.
+The leaf check borrows `profiles.is_profile` and holds the one copy of
+the shared-pixel certificate, which `duality.find_f_tangle` also runs on
+every F-tangle hit, with `profiles.is_focused` and `is_profile` for a
+hit whose sides share no pixel.  The test suite compares both searches
+and the assembled profiles against brute-force oracles.
 """
 from __future__ import annotations
 
@@ -124,12 +133,40 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _shares_pixel_certificate(stratum: Stratum, chosen: frozenset[int]) -> bool:
+    """True when `chosen` holds exactly one side of every pair plus the
+    full side, one pixel p lies in every chosen side, and no chosen side is
+    a single pixel.  Such an orientation is an unfocused profile: any two
+    chosen sides x, y share p, so they are not disjoint and (x & y)*,
+    which misses p, is not chosen.  O(pairs), where `is_profile` is
+    quadratic."""
+    full = stratum.full_mask
+    pairs = stratum.pairs.tolist()
+    common = full
+    for s in chosen:
+        common &= s
+    return (common != 0 and full in chosen
+            and len(chosen) == len(pairs) + 1
+            and all((c in chosen) != (c ^ full in chosen) for c in pairs)
+            and not any(s.bit_count() == 1 for s in chosen))
+
+
+def _certified_leaf(stratum: Stratum, chosen: frozenset[int]) -> bool:
+    """The leaf check: the shared-pixel certificate, or else the
+    definition-level `profiles.is_profile`."""
+    from .profiles import Orientation, is_profile  # profiles imports this module
+    return (_shares_pixel_certificate(stratum, chosen)
+            or is_profile(Orientation(stratum, chosen)))
+
+
 class _AssignmentSearch:
     """DPLL-style search over one side per pair, propagating to conflict
     or fixed point after each decision."""
 
     def __init__(self, stratum: Stratum, unfocused: bool):
         self.unfocused = unfocused   # reject single pixels: the F-tangle search
+        self.stratum = stratum
+        self.dropped = 0             # complete assignments that failed the leaf check
         self.full = stratum.full_mask
         # branch on small underlying sets first: they decide the most
         self.pairs = sorted(
@@ -172,7 +209,7 @@ class _AssignmentSearch:
         the length of self.chosen recorded beforehand)."""
         full, pairs, index, status = self.full, self.pairs, self.index, self.status
         made = 0
-        # (side, whether its supersets still need forcing)
+        # (side, whether it runs its checks: False when forced as a superset)
         queue = [(side, True)]
         while queue:
             s, scan = queue.pop()
@@ -184,6 +221,15 @@ class _AssignmentSearch:
                 if cur != s:
                     return None
                 continue
+            status[i] = s
+            self.chosen.append(s)
+            if s == pairs[i]:
+                self.as_c |= 1 << i
+            else:
+                self.as_d |= 1 << i
+            made += 1
+            if not scan:
+                continue  # the leaf check catches the stars skipped here
             # forced intersections with the chosen sides y co-pointing with
             # s (y | s == full): exactly the chosen supersets of s*.  Sides
             # of distinct pairs that co-point always meet
@@ -196,20 +242,11 @@ class _AssignmentSearch:
                         queue.append((j, True))
                     elif status[pj] != j:
                         return None  # {s, y, j*} fully present
-            status[i] = s
-            self.chosen.append(s)
-            if s == pairs[i]:
-                self.as_c |= 1 << i
-            else:
-                self.as_d |= 1 << i
-            made += 1
-            # consistency: every stratum superset of s is forced.  A side
-            # forced here skips this step: its supersets are supersets of s
-            if scan:
-                sup_c, sup_d = self._supersets(s)
-                free = self.all ^ (self.as_c | self.as_d)
-                queue.extend((pairs[j], False) for j in _bits(sup_c & free))
-                queue.extend((pairs[j] ^ full, False) for j in _bits(sup_d & free))
+            # consistency: every stratum superset of s is forced
+            sup_c, sup_d = self._supersets(s)
+            free = self.all ^ (self.as_c | self.as_d)
+            queue.extend((pairs[j], False) for j in _bits(sup_c & free))
+            queue.extend((pairs[j] ^ full, False) for j in _bits(sup_d & free))
         return made
 
     def _rollback(self, count: int) -> None:
@@ -232,9 +269,13 @@ class _AssignmentSearch:
             # the lowest free pair at or after start
             free = (self.all ^ (self.as_c | self.as_d)) >> start
             if not free:
-                results.append(frozenset(self.chosen) | {self.full})
-                if find_one:
-                    return results
+                leaf = frozenset(self.chosen) | {self.full}
+                if _certified_leaf(self.stratum, leaf):
+                    results.append(leaf)
+                    if find_one:
+                        return results
+                else:
+                    self.dropped += 1
             else:
                 i = start + (free & -free).bit_length() - 1
                 c = self.pairs[i]

@@ -135,9 +135,9 @@ class Stratum:
 
     @cached_property
     def members(self) -> frozenset[int]:
-        full = self.full_mask
-        pairs = self.pairs.tolist()
-        return frozenset(pairs) | {c ^ full for c in pairs} | {0, full}
+        full = np.uint32(self.full_mask)
+        return frozenset(np.concatenate(
+            (self.pairs, self.pairs ^ full, np.array([0, full], np.uint32))).tolist())
 
     @property
     def full_mask(self) -> int:

@@ -520,6 +520,19 @@ def test_defect4x4_principal_levels():
         assert verify_duality(pool, k).ok is True
 
 
+def test_defect4x4_analyze_lists_one_principal_f_tangle_per_level():
+    # regions enumerate levels 1-4 (2,047 to 30,719 pairs); with the
+    # co-pointing check run on every forced superset this took about 60 s
+    wc = weighted(defect4x4)
+    _, ok = analyze(wc)
+    assert ok
+    pool = build_universe(wc)
+    for k in range(1, 5):
+        stratum = pool.stratum(k)
+        (tangle,) = f_tangles(stratum)
+        assert tangle.chosen == principal_sides(stratum, 5)
+
+
 def test_resolution_noisedisc_block_exceeds_noise():
     wc = fixture_canvas("noisedisc4x4")
     block, rest = noisedisc_masks()

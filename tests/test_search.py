@@ -1,14 +1,17 @@
 """The bitset search engine against the frozen scan-based reference, on
-strata of more than 64 pairs, where every bitset spans several words."""
+strata of more than 64 pairs, where every bitset spans several words, and
+the engine's handling of a leaf that fails its leaf check."""
 from __future__ import annotations
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from corpus import picture, rand4x5, weighted
+import tanglescope.search as search_module
+from corpus import lshape3x3, picture, rand4x5, weighted
 from oracles import ReferenceSearch
 from tanglescope import WeightedCanvas, build_universe, suggest_N
-from tanglescope.search import _AssignmentSearch, _is_full_universe
+from tanglescope.search import (_AssignmentSearch, _certified_leaf, _is_full_universe,
+                                find_star_avoiding_orientation)
 
 # more pairs than one 64-bit word; the upper bound keeps the reference cheap
 _MIN_PAIRS, _MAX_PAIRS = 65, 250
@@ -54,3 +57,24 @@ def test_superset_masks_match_a_direct_scan():
         assert sup_d == sum(1 << i for i, c in enumerate(search.pairs)
                             if (c ^ full) & side == side)
 
+
+def test_rejected_leaf_is_dropped_and_the_search_goes_on(monkeypatch):
+    stratum = build_universe(weighted(lshape3x3)).stratum(2)
+    leaves = _AssignmentSearch(stratum, unfocused=True).run()
+    assert len(leaves) >= 2
+    # the leaf check itself rejects a complete assignment that is no profile
+    full = stratum.full_mask
+    assert not _certified_leaf(stratum, frozenset(s ^ full for s in leaves[0] - {full}) | {full})
+    seen = []
+
+    def reject_first(stratum, chosen):
+        seen.append(chosen)
+        return len(seen) > 1 and _certified_leaf(stratum, chosen)
+
+    monkeypatch.setattr(search_module, "_certified_leaf", reject_first)
+    engine = _AssignmentSearch(stratum, unfocused=True)
+    assert engine.run() == leaves[1:]
+    assert engine.dropped == 1 and seen == leaves
+    seen.clear()
+    assert find_star_avoiding_orientation(stratum) == leaves[1]
+    assert seen == leaves[:2]
