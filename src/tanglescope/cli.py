@@ -101,8 +101,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command.  Exit code 1 is bad input (a malformed picture,
+    argument or report, or an unreadable file), reported on one stderr
+    line; 2 is a failed verification."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        print(f"tanglescope: error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -1,57 +1,24 @@
-"""Tangle duality: the standard star set F, F-tangles, chop trees and the
-maximum supported resolution of a picture."""
+"""Tangle duality: F-tangles for the standard star set F, chop trees and
+the maximum supported resolution of a picture."""
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations
 
 import numpy as np
 
 from .canvas import DEFAULT_PIXEL_CAP, Canvas, Picture, WeightedCanvas
 from .profiles import Profile, is_focused, is_profile
 from .search import (SearchDefect, _shares_pixel_certificate,
-                     enumerate_fprime_orientations, find_star_avoiding_orientation,
-                     principal_sides)
+                     find_star_avoiding_orientation, principal_sides)
 from .sepsys import (SeparationPool, Stratum, build_universe, laminar_sides,
                      star_sides, void_sides)
-
-_ENUMERATE_LIMIT = 400
 
 # above this many pairs a duality report records the tree side as not
 # attempted.  Only the glyph25 bench reference, which records the flat
 # 5x4's k=1 verdict as skipped, still needs it: that tree builds and
 # verifies in well under a second
 CHOP_TREE_PAIR_LIMIT = 40000
-
-
-@dataclass(frozen=True)
-class StarSetF:
-    """The standard star set over a stratum: void stars with at most three
-    elements and single pixels; co-trivial singletons are void 1-stars."""
-
-    stratum: Stratum
-
-    def __contains__(self, star) -> bool:
-        sides = set(star)
-        full = self.stratum.full_mask
-        if any(s not in self.stratum for s in sides) or not star_sides(sides, full):
-            return False
-        if len(sides) == 1 and next(iter(sides)).bit_count() == 1:
-            return True  # single pixel
-        return len(sides) <= 3 and void_sides(sides, full)
-
-    def enumerate(self) -> list[frozenset[int]]:
-        """All member stars; only for small strata."""
-        members = sorted(self.stratum.members)
-        if len(members) > _ENUMERATE_LIMIT:
-            raise ValueError("stratum too large for star enumeration")
-        out = []
-        for r in (1, 2, 3):
-            for combo in combinations(members, r):
-                if combo in self:
-                    out.append(frozenset(combo))
-        return out
 
 
 def find_f_tangle(stratum: Stratum) -> Profile | None:
@@ -121,12 +88,6 @@ def find_f_tangle(stratum: Stratum) -> Profile | None:
     return hit
 
 
-def enumerate_f_prime_tangles(stratum: Stratum) -> tuple[Profile, ...]:
-    """All tangles over the stars violating the profile condition."""
-    found = enumerate_fprime_orientations(stratum)
-    return tuple(Profile(stratum, chosen) for chosen in found)
-
-
 # -- chop trees ---------------------------------------------------------------
 
 
@@ -157,7 +118,7 @@ class ChopTree:
 
 
 def build_chop_tree(wc: WeightedCanvas, k: int,
-                    pool: SeparationPool | None = None) -> ChopTree | None:
+                    pool: SeparationPool) -> ChopTree | None:
     """The dual witness: split the pixel set recursively along lines of
     order below k, down to single pixels, or None if no such tree exists.
 
@@ -179,8 +140,6 @@ def build_chop_tree(wc: WeightedCanvas, k: int,
         raise ValueError("empty canvas")
     if wc.npixels == 1:
         return ChopTree(k, (ChopNode(wc.full_mask, ()),))
-    if pool is None:
-        pool = build_universe(wc)
     if max(pool.pixel_orders) >= k:
         return None
     orders = pool.wc.all_orders()
@@ -221,10 +180,8 @@ class ChopTreeReport:
 
 
 def verify_chop_tree(tree: ChopTree, wc: WeightedCanvas,
-                     pool: SeparationPool | None = None) -> ChopTreeReport:
+                     pool: SeparationPool) -> ChopTreeReport:
     """Independent validation of the chop-tree invariants."""
-    if pool is None:
-        pool = build_universe(wc)
     full = pool.full_mask
     nodes = list(tree.nodes())
     parts = [n.part for n in nodes]

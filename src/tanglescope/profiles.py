@@ -40,10 +40,6 @@ class Profile(Orientation):
     """
 
 
-def orientation_of(stratum: Stratum, chosen) -> Orientation:
-    return Orientation(stratum, frozenset(chosen) | {stratum.full_mask})
-
-
 def is_profile(o: Orientation) -> bool:
     """Definition-level profile check, independent of the search engine."""
     full = o.stratum.full_mask
@@ -97,26 +93,8 @@ def restrict(p: Profile, ell: int) -> Profile:
     return Profile(sub, frozenset(s for s in p.chosen if s in sub))
 
 
-def induces(p: Profile, q: Profile) -> bool:
-    if q.k > p.k:
-        raise ValueError("a profile can only induce profiles of lower or equal order")
-    return restrict(p, q.k) == q
-
-
 def is_focused(p: Orientation) -> bool:
     return any(s.bit_count() == 1 for s in p.chosen)
-
-
-def is_principal(p: Orientation) -> bool:
-    """True iff the profile is exactly 'everything containing some pixel p'."""
-    full = p.stratum.full_mask
-    pairs = p.stratum.pairs.tolist()
-    for pix in range(full.bit_length()):
-        bit = 1 << pix
-        if all((c & bit != 0) == (c in p.chosen)
-               for pair in pairs for c in (pair, pair ^ full)):
-            return True
-    return False
 
 
 def focused_children(q: Profile) -> list[int]:
@@ -144,24 +122,6 @@ def distinguishable(p: Orientation, q: Orientation) -> bool:
     return not (p.chosen <= q.chosen or q.chosen <= p.chosen)
 
 
-def equivalent(p: Profile, q: Profile) -> bool:
-    """Equivalence of profiles: the higher one induces the lower and is the
-    only profile doing so at every intermediate level."""
-    if p.pool is not q.pool:
-        raise ValueError("profiles from different pools")
-    if p.k == q.k:
-        return p == q
-    hi, lo = (p, q) if p.k > q.k else (q, p)
-    if restrict(hi, lo.k) != lo:
-        return False
-    for mid in range(lo.k, hi.k + 1):
-        inducing = [r for r in enumerate_profiles(hi.pool.stratum(mid))
-                    if restrict(r, lo.k) == lo]
-        if inducing != [restrict(hi, mid)]:
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class Region:
     """An equivalence class of profiles containing no focused profile."""
@@ -179,20 +139,6 @@ class Region:
     @property
     def visibility(self) -> int:
         return self.cohesion - self.complexity
-
-
-def profile_levels(pool: SeparationPool) -> dict[int, tuple[Profile, ...]]:
-    """Profiles per stratum index, up to the first level where every profile
-    is focused (no higher level can host an unfocused profile, since
-    restrictions of unfocused profiles are unfocused)."""
-    levels: dict[int, tuple[Profile, ...]] = {}
-    max_k = pool.max_order + 1
-    for k in range(1, max_k + 1):
-        profs = enumerate_profiles(pool.stratum(k))
-        levels[k] = profs
-        if all(is_focused(p) for p in profs):
-            break
-    return levels
 
 
 def regions(pool: SeparationPool) -> tuple[Region, ...]:

@@ -1,7 +1,7 @@
 """Backtracking searches for consistent orientations of a stratum.
 
-One engine serves F'-tangle enumeration and F-tangle enumeration and
-existence.  It keeps an explicit assignment per separation pair and
+One engine serves F-tangle enumeration and existence; it searches
+F-tangles only.  It keeps an explicit assignment per separation pair and
 propagates to a fixed point after every decision:
 
 - consistency: a chosen side forces every stratum superset's pair toward
@@ -11,8 +11,7 @@ propagates to a fixed point after every decision:
   their intersection's pair toward the intersection wherever that pair
   lies in the stratum, avoiding the star {r, s, (r & s)*}, which is both
   a void 3-star and a violator of the profile condition;
-- the F-tangle search additionally rejects single-pixel sides; this is
-  the only difference between it and the F'-tangle search.
+- single-pixel sides are rejected, as every one of them is a star in F.
 
 Each rule is a direct consequence of the orientation property being
 searched for, so forcing never prunes an orientation sought.  It is not
@@ -22,8 +21,8 @@ Every leaf is therefore certified before it is kept (`_certified_leaf`):
 by the O(pairs) shared-pixel certificate where its chosen sides share a
 pixel, and by the definition-level `profiles.is_profile` otherwise.  A
 leaf failing both is dropped and counted (`dropped`), and a find-one
-search goes on past it.  In the F-tangle search a certified leaf is an
-F-tangle, as single-pixel sides were rejected on assignment.
+search goes on past it.  A certified leaf is an F-tangle, as
+single-pixel sides were rejected on assignment.
 
 Forcing runs on Python-int bitsets over the pair indices.  One column per
 pixel p, built once per search from the pairs' bit matrix, has bit i set
@@ -91,8 +90,9 @@ above `duality.CHOP_TREE_PAIR_LIMIT` pairs, where no tree is tried.
 The leaf check borrows `profiles.is_profile` and holds the one copy of
 the shared-pixel certificate, which `duality.find_f_tangle` also runs on
 every F-tangle hit, with `profiles.is_focused` and `is_profile` for a
-hit whose sides share no pixel.  The test suite compares both searches
-and the assembled profiles against brute-force oracles.
+hit whose sides share no pixel.  The test suite compares the search and
+the assembled profiles against brute-force oracles, and the profiles
+against the F'-tangles of the frozen reference search in `tests/oracles.py`.
 """
 from __future__ import annotations
 
@@ -163,8 +163,7 @@ class _AssignmentSearch:
     """DPLL-style search over one side per pair, propagating to conflict
     or fixed point after each decision."""
 
-    def __init__(self, stratum: Stratum, unfocused: bool):
-        self.unfocused = unfocused   # reject single pixels: the F-tangle search
+    def __init__(self, stratum: Stratum):
         self.stratum = stratum
         self.dropped = 0             # complete assignments that failed the leaf check
         self.full = stratum.full_mask
@@ -213,7 +212,7 @@ class _AssignmentSearch:
         queue = [(side, True)]
         while queue:
             s, scan = queue.pop()
-            if self.unfocused and s.bit_count() == 1:
+            if s.bit_count() == 1:
                 return None  # single-pixel star
             i = index[s]
             cur = status[i]
@@ -310,7 +309,7 @@ def _f_tangles(stratum: Stratum, find_one: bool = False) -> list[frozenset[int]]
         # pixels force every inverse of one in, and a minimal member m
         # with p in m then closes the void 3-star {m, {p}*, (m minus p)*}
         return []
-    return _AssignmentSearch(stratum, unfocused=True).run(find_one)
+    return _AssignmentSearch(stratum).run(find_one)
 
 
 # -- public entry points ------------------------------------------------------
@@ -322,20 +321,6 @@ def enumerate_profile_orientations(stratum: Stratum) -> tuple[list[int], list[fr
     principal orientation toward p), and the F-tangles as chosen-side
     sets, sorted canonically."""
     return _focus_pixels(stratum), sorted(_f_tangles(stratum), key=sorted)
-
-
-def enumerate_fprime_orientations(stratum: Stratum) -> list[frozenset[int]]:
-    """All consistent orientations avoiding stars of the form r, s, (r v s)*."""
-    if _is_full_universe(stratum):
-        # every F'-tangle is principal over the full universe: if no single
-        # pixel is chosen then every inverse of one is, and for a minimal
-        # chosen member m with p in m the star {m, {p}*, (m minus p)*} lies
-        # in F', its members all being present, so m minus p is chosen,
-        # descending to a single pixel; conversely every principal
-        # orientation avoids F' since all its members share a pixel
-        return [principal_sides(stratum, p) for p in _focus_pixels(stratum)]
-    found = _AssignmentSearch(stratum, unfocused=False).run()
-    return sorted(found, key=sorted)
 
 
 def find_star_avoiding_orientation(stratum: Stratum) -> frozenset[int] | None:

@@ -1,21 +1,30 @@
-"""Independent brute-force oracles used to validate the search engines.
+"""Independent brute-force oracles used to validate the search engines,
+and the definitions that only tests use.
 
-Everything here except `ReferenceSearch` enumerates all 2^pairs
-orientations of a stratum and filters by the definitions, with no pruning
-and no shared code with the engines under test.  Only usable on strata
-with few pairs.
+Everything in the first part except `ReferenceSearch` enumerates all
+2^pairs orientations of a stratum and filters by the definitions, with no
+pruning and no shared code with the engines under test.  Only usable on
+strata with few pairs.
 
 `ReferenceSearch` is the search engine as it was before its forcing ran
 on bitsets: the same decisions and rules, with every assignment scanning
 all pairs and all previously chosen sides.  It is kept frozen as the
-reference for strata too large for the exhaustive oracles.
+reference for strata too large for the exhaustive oracles.  Its F'-tangle
+mode (`unfocused=False`) supplies the F'-tangles against which the tests
+check the footnote equivalence, profiles = F'-tangles.
+
+The second part holds definitions that no analysis path needs: the
+standard star set F as an explicit set, principality, induction,
+equivalence of profiles and the complete profile levels.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import combinations, product
 
-from tanglescope.profiles import is_profile, orientation_of
-from tanglescope.sepsys import Stratum
+from tanglescope.profiles import (Orientation, Profile, enumerate_profiles,
+                                  is_focused, is_profile, restrict)
+from tanglescope.sepsys import SeparationPool, Stratum, star_sides, void_sides
 
 
 def all_orientations(stratum: Stratum):
@@ -162,3 +171,91 @@ class ReferenceSearch:
                 break
             else:
                 return results
+
+
+# -- definitions used only by tests -------------------------------------------
+
+_ENUMERATE_LIMIT = 400
+
+
+@dataclass(frozen=True)
+class StarSetF:
+    """The standard star set over a stratum: void stars with at most three
+    elements and single pixels; co-trivial singletons are void 1-stars."""
+
+    stratum: Stratum
+
+    def __contains__(self, star) -> bool:
+        sides = set(star)
+        full = self.stratum.full_mask
+        if any(s not in self.stratum for s in sides) or not star_sides(sides, full):
+            return False
+        if len(sides) == 1 and next(iter(sides)).bit_count() == 1:
+            return True  # single pixel
+        return len(sides) <= 3 and void_sides(sides, full)
+
+    def enumerate(self) -> list[frozenset[int]]:
+        """All member stars; only for small strata."""
+        members = sorted(self.stratum.members)
+        if len(members) > _ENUMERATE_LIMIT:
+            raise ValueError("stratum too large for star enumeration")
+        out = []
+        for r in (1, 2, 3):
+            for combo in combinations(members, r):
+                if combo in self:
+                    out.append(frozenset(combo))
+        return out
+
+
+def orientation_of(stratum: Stratum, chosen) -> Orientation:
+    return Orientation(stratum, frozenset(chosen) | {stratum.full_mask})
+
+
+def is_principal(p: Orientation) -> bool:
+    """True iff the profile is exactly 'everything containing some pixel p'."""
+    full = p.stratum.full_mask
+    pairs = p.stratum.pairs.tolist()
+    for pix in range(full.bit_length()):
+        bit = 1 << pix
+        if all((c & bit != 0) == (c in p.chosen)
+               for pair in pairs for c in (pair, pair ^ full)):
+            return True
+    return False
+
+
+def induces(p: Profile, q: Profile) -> bool:
+    if q.k > p.k:
+        raise ValueError("a profile can only induce profiles of lower or equal order")
+    return restrict(p, q.k) == q
+
+
+def equivalent(p: Profile, q: Profile) -> bool:
+    """Equivalence of profiles: the higher one induces the lower and is the
+    only profile doing so at every intermediate level."""
+    if p.pool is not q.pool:
+        raise ValueError("profiles from different pools")
+    if p.k == q.k:
+        return p == q
+    hi, lo = (p, q) if p.k > q.k else (q, p)
+    if restrict(hi, lo.k) != lo:
+        return False
+    for mid in range(lo.k, hi.k + 1):
+        inducing = [r for r in enumerate_profiles(hi.pool.stratum(mid))
+                    if restrict(r, lo.k) == lo]
+        if inducing != [restrict(hi, mid)]:
+            return False
+    return True
+
+
+def profile_levels(pool: SeparationPool) -> dict[int, tuple[Profile, ...]]:
+    """Profiles per stratum index, up to the first level where every profile
+    is focused (no higher level can host an unfocused profile, since
+    restrictions of unfocused profiles are unfocused)."""
+    levels: dict[int, tuple[Profile, ...]] = {}
+    max_k = pool.max_order + 1
+    for k in range(1, max_k + 1):
+        profs = enumerate_profiles(pool.stratum(k))
+        levels[k] = profs
+        if all(is_focused(p) for p in profs):
+            break
+    return levels

@@ -8,13 +8,12 @@ import pytest
 
 from corpus import (LARGE_PICTURES, SMALL_PICTURES, TWELVE_PIXEL_PICTURES,
                     lcg_stream, weighted)
-from oracles import naive_profiles
+from oracles import ReferenceSearch, naive_profiles, orientation_of
 from tanglescope import (analyze, build_chop_tree, build_distinguishing_tree_set,
                          build_universe, distinguishes, encode_report,
                          enumerate_profiles, is_focused,
                          max_supported_resolution, regions, verify_chop_tree,
                          verify_tree_set)
-from tanglescope.duality import enumerate_f_prime_tangles
 from tanglescope.fixtures import fixture_canvas, noisedisc_masks
 from tanglescope.report import select_representatives
 from tanglescope.search import find_star_avoiding_orientation
@@ -154,13 +153,15 @@ def test_criterion_7_footnote_equivalence(capsys, pool_mono, pool_minil):
         k = 0
         while True:
             k += 1
-            profs = enumerate_profiles(pool.stratum(k))
-            fprime = enumerate_f_prime_tangles(pool.stratum(k))
-            if {p.chosen for p in profs} != {t.chosen for t in fprime}:
+            stratum = pool.stratum(k)
+            profs = enumerate_profiles(stratum)
+            fprime = ReferenceSearch(stratum, unfocused=False).run()
+            if {p.chosen for p in profs} != set(fprime):
                 ok = False
                 break
             all_focused = (all(is_focused(p) for p in profs)
-                           and all(is_focused(t) for t in fprime))
+                           and all(is_focused(orientation_of(stratum, t))
+                                   for t in fprime))
             if all_focused or k > pool.max_order:
                 break
         # past a level where every member of both families is focused,

@@ -1,18 +1,18 @@
-"""Differential net: the search engines against the brute-force oracles and
-the definition-level verifiers, and the closed-form answers at principal
-levels against the search engine, on random pictures of at most 11
-pixels."""
+"""Differential net: the search engine against the brute-force oracles, the
+reference search and the definition-level verifiers, and the closed-form
+answers at principal levels against the search engine, on random pictures
+of at most 11 pixels."""
 from __future__ import annotations
 
 from hypothesis import given, settings
 
 from corpus import random_weighted
-from oracles import naive_profiles, naive_tangles
-from tanglescope import (StarSetF, analyze, build_chop_tree, build_universe,
-                         find_f_tangle, is_focused, max_supported_resolution,
-                         verify_chop_tree, verify_duality)
-from tanglescope.duality import enumerate_f_prime_tangles
-from tanglescope.profiles import f_tangles, profile_levels
+from oracles import (ReferenceSearch, StarSetF, naive_profiles, naive_tangles,
+                     profile_levels)
+from tanglescope import (analyze, build_chop_tree, build_universe, find_f_tangle,
+                         is_focused, max_supported_resolution, verify_chop_tree,
+                         verify_duality)
+from tanglescope.profiles import f_tangles
 from tanglescope.search import find_star_avoiding_orientation
 
 # the oracles enumerate 2^pairs orientations
@@ -37,7 +37,8 @@ def test_engines_match_oracles_on_random_pictures(wc):
         if small:
             assert chosen == naive_profiles(stratum)
         # footnote equivalence: the F'-tangles are exactly the profiles
-        assert [t.chosen for t in enumerate_f_prime_tangles(stratum)] == chosen
+        fprime = ReferenceSearch(stratum, unfocused=False).run()
+        assert sorted(fprime, key=sorted) == chosen
         listed = find_f_tangle(stratum)
         found = find_f_tangle(fresh.stratum(k))
         # the find-one engine itself, which the closed form skips
@@ -56,8 +57,9 @@ def test_engines_match_oracles_on_random_pictures(wc):
     # the tree is rebuilt and re-verified on a pool of its own
     for k, listed in fresh._f_tangles.items():
         assert listed == ()
-        tree = build_chop_tree(wc, k)
-        assert tree is not None and verify_chop_tree(tree, wc).ok
+        own = build_universe(wc)
+        tree = build_chop_tree(wc, k, own)
+        assert tree is not None and verify_chop_tree(tree, wc, own).ok
     unfocused = [k for k, profs in levels.items()
                  if not all(is_focused(p) for p in profs)]
     resolution = max_supported_resolution(wc)

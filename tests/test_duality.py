@@ -13,17 +13,17 @@ import pytest
 import tanglescope.duality as duality
 import tanglescope.profiles as profiles_module
 import tanglescope.report as report_module
-from corpus import (TWELVE_PIXEL_PICTURES, defect4x4, dot4x5, one_pixel, picture,
-                    weighted)
-from oracles import _consistent, all_orientations, naive_fprime_stars, naive_tangles
-from tanglescope import (Profile, StarSetF, WeightedCanvas, analyze, build_chop_tree,
+from corpus import (TWELVE_PIXEL_PICTURES, defect4x4, dot4x5, lshape3x3, one_pixel,
+                    picture, weighted)
+from oracles import (ReferenceSearch, StarSetF, _consistent, all_orientations,
+                     is_principal, naive_fprime_stars, naive_tangles, orientation_of)
+from tanglescope import (Profile, WeightedCanvas, analyze, build_chop_tree,
                          build_universe, enumerate_profiles, find_f_tangle, is_focused,
                          is_profile, max_supported_resolution, verify_chop_tree,
                          verify_duality)
-from tanglescope.duality import (ChopNode, ChopTree, enumerate_f_prime_tangles,
-                                 induced_subcanvas)
+from tanglescope.duality import ChopNode, ChopTree, induced_subcanvas
 from tanglescope.fixtures import fixture_canvas, noisedisc_masks
-from tanglescope.profiles import f_tangles, is_principal, orientation_of
+from tanglescope.profiles import f_tangles
 from tanglescope.search import (SearchDefect, find_star_avoiding_orientation,
                                 principal_sides)
 
@@ -124,7 +124,7 @@ def test_find_f_tangle_rejects_bad_hits(monkeypatch, canvas, k, wanted):
     searched = []
     # both levels have a chop tree, which would settle them unsearched:
     # hide it, so that the planted hit comes from the search
-    assert build_chop_tree(stratum.pool.wc, k) is not None
+    assert build_chop_tree(stratum.pool.wc, k, stratum.pool) is not None
     monkeypatch.setattr(duality, "build_chop_tree", lambda wc, k, pool: None)
     monkeypatch.setattr(duality, "find_star_avoiding_orientation",
                         lambda s: searched.append(s) or bad)
@@ -282,13 +282,29 @@ def test_analyze_settles_chop_tree_levels_once(monkeypatch, wc_quad):
 
 
 def test_fprime_matches_naive_oracle(pool_mono):
+    # the reference's F'-tangle mode, which the footnote-equivalence tests
+    # compare the profiles against, checked against brute force
     for k in range(1, pool_mono.max_order + 2):
         stratum = pool_mono.stratum(k)
         if len(stratum.pairs) > 12:
             continue
         stars = naive_fprime_stars(stratum)
-        got = [t.chosen for t in enumerate_f_prime_tangles(stratum)]
+        got = sorted(ReferenceSearch(stratum, unfocused=False).run(), key=sorted)
         assert got == naive_tangles(stratum, stars)
+
+
+@pytest.mark.parametrize("canvas", [_mono2x2, lambda: weighted(lshape3x3)],
+                         ids=["mono2x2", "lshape3x3"])
+def test_full_universe_fprime_tangles_are_principal(canvas):
+    # over the full universe every F'-tangle is principal: if no single
+    # pixel is chosen then every inverse of one is, and for a minimal chosen
+    # member m with p in m the star {m, {p}*, (m minus p)*} lies in F', so
+    # m minus p is chosen, descending to a single pixel
+    pool = build_universe(canvas())
+    stratum = pool.stratum(pool.max_order + 1)
+    assert len(stratum.pairs) == (1 << (pool.wc.npixels - 1)) - 1
+    got = sorted(ReferenceSearch(stratum, unfocused=False).run(), key=sorted)
+    assert got == [principal_sides(stratum, p) for p in range(pool.wc.npixels)]
 
 
 @pytest.mark.parametrize("name", sorted(TWELVE_PIXEL_PICTURES) + ["quad4x4"])
@@ -439,10 +455,11 @@ def test_verify_chop_tree_rejects_non_void_split(wc_mono, pool_mono):
 
 def test_chop_tree_one_pixel():
     wc = weighted(one_pixel)
+    pool = build_universe(wc)
     for k in (1, 2):
-        tree = build_chop_tree(wc, k)
+        tree = build_chop_tree(wc, k, pool)
         assert tree is not None and len(tree.roots) == 1
-        assert verify_chop_tree(tree, wc).ok
+        assert verify_chop_tree(tree, wc, pool).ok
 
 
 def test_chop_tree_full_universe():
@@ -463,9 +480,9 @@ def test_chop_tree_full_universe():
     assert verify_chop_tree(tree, wc, pool).ok
 
 
-def test_chop_tree_rejects_bad_k(wc_mono):
+def test_chop_tree_rejects_bad_k(wc_mono, pool_mono):
     with pytest.raises(ValueError):
-        build_chop_tree(wc_mono, 0)
+        build_chop_tree(wc_mono, 0, pool_mono)
 
 
 def test_duality_mono(pool_mono):
@@ -557,7 +574,7 @@ def test_footnote_equivalence_mono(pool_mono):
     for k in range(1, pool_mono.max_order + 2):
         stratum = pool_mono.stratum(k)
         profs = {p.chosen for p in enumerate_profiles(stratum)}
-        fprime = {t.chosen for t in enumerate_f_prime_tangles(stratum)}
+        fprime = set(ReferenceSearch(stratum, unfocused=False).run())
         assert profs == fprime
 
 

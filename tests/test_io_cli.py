@@ -288,3 +288,26 @@ def test_cli_fixture_deterministic(tmp_path):
     fa = (a / "noisedisc4x4.grid").read_bytes()
     assert fa == (b / "noisedisc4x4.grid").read_bytes()
     assert b"lcg" in fa
+
+
+@pytest.mark.parametrize("argv", [
+    ["resolution", "{grid}", "--subset", "zz"],
+    ["resolution", "{grid}", "--subset", "0"],
+    ["resolution", "{grid}", "--subset", "10000"],
+    ["analyze", "{grid}", "--N", "-3"],
+    ["analyze", "{grid}", "--pixel-cap", "0"],
+    ["analyze", "{missing}"],
+    ["render", "{report}", "--style", "svg", "-o", "{svg}"],
+], ids=["subset-not-hex", "subset-empty", "subset-outside", "negative-N",
+        "pixel-cap-0", "missing-input", "report-schema"])
+def test_cli_input_errors_exit_1_on_one_line(tmp_path, capsys, argv):
+    main(["fixtures", "mono2x2", "-o", str(tmp_path)])
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps({"schema": "tanglescope.report/0"}))
+    paths = {"grid": tmp_path / "mono2x2.grid", "missing": tmp_path / "missing.grid",
+             "report": report, "svg": tmp_path / "lines.svg"}
+    capsys.readouterr()
+    assert main([a.format_map(paths) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("tanglescope: error: ") and err.count("\n") == 1
+    assert "Traceback" not in err

@@ -7,13 +7,13 @@ from hypothesis import given, settings
 
 from corpus import (SMALL_PICTURES, TWELVE_PIXEL_PICTURES, picture, random_weighted,
                     weighted, white2x2)
-from oracles import naive_profiles
+from oracles import (equivalent, induces, is_principal, naive_profiles,
+                     orientation_of, profile_levels)
 from tanglescope import (Orientation, WeightedCanvas, build_universe,
                          distinguishable, distinguishes, enumerate_profiles,
-                         equivalent, induces, is_focused, is_principal, is_profile,
-                         refines, regions, restrict)
+                         is_focused, is_profile, refines, regions, restrict)
 from tanglescope.fixtures import fixture_canvas
-from tanglescope.profiles import focused_children, orientation_of, profile_levels
+from tanglescope.profiles import focused_children
 
 
 def _toward(stratum, pixel):

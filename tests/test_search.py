@@ -37,17 +37,16 @@ def test_engine_leaves_equal_reference_on_multiword_strata(wc):
                     if len(s.pairs) >= _MIN_PAIRS), None)
     assume(stratum is not None and len(stratum.pairs) <= _MAX_PAIRS
            and not _is_full_universe(stratum))
-    for unfocused in (True, False):
-        for find_one in (True, False):
-            leaves = _AssignmentSearch(stratum, unfocused).run(find_one)
-            assert leaves == ReferenceSearch(stratum, unfocused).run(find_one)
+    for find_one in (True, False):
+        leaves = _AssignmentSearch(stratum).run(find_one)
+        assert leaves == ReferenceSearch(stratum, unfocused=True).run(find_one)
 
 
 def test_superset_masks_match_a_direct_scan():
     pool = build_universe(weighted(rand4x5))
     stratum = pool.stratum(5)
     assert len(stratum.pairs) > 3 * 64
-    search = _AssignmentSearch(stratum, unfocused=True)
+    search = _AssignmentSearch(stratum)
     full = stratum.full_mask
     for p, column in enumerate(search.incl):
         assert column == sum(1 << i for i, c in enumerate(search.pairs) if c >> p & 1)
@@ -60,7 +59,7 @@ def test_superset_masks_match_a_direct_scan():
 
 def test_rejected_leaf_is_dropped_and_the_search_goes_on(monkeypatch):
     stratum = build_universe(weighted(lshape3x3)).stratum(2)
-    leaves = _AssignmentSearch(stratum, unfocused=True).run()
+    leaves = _AssignmentSearch(stratum).run()
     assert len(leaves) >= 2
     # the leaf check itself rejects a complete assignment that is no profile
     full = stratum.full_mask
@@ -72,7 +71,7 @@ def test_rejected_leaf_is_dropped_and_the_search_goes_on(monkeypatch):
         return len(seen) > 1 and _certified_leaf(stratum, chosen)
 
     monkeypatch.setattr(search_module, "_certified_leaf", reject_first)
-    engine = _AssignmentSearch(stratum, unfocused=True)
+    engine = _AssignmentSearch(stratum)
     assert engine.run() == leaves[1:]
     assert engine.dropped == 1 and seen == leaves
     seen.clear()
