@@ -69,8 +69,16 @@ def cmd_resolution(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error for `main` to report, instead of printing the
+    usage and exiting 2, the code of a failed verification."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tanglescope",
         description="Exact region and line-structure analysis of tiny pictures.",
     )
@@ -104,8 +112,8 @@ def main(argv=None) -> int:
     """Run one command.  Exit code 1 is bad input (a malformed picture,
     argument or report, or an unreadable file), reported on one stderr
     line; 2 is a failed verification."""
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"tanglescope: error: {exc}", file=sys.stderr)

@@ -130,9 +130,12 @@ def build_chop_tree(wc: WeightedCanvas, k: int,
     `chop(part)` tries each split of part into two stratum sides c1 < c2:
     c1 is a side inside part, read with numpy off the array of every
     stratum side, and c2 = part ^ c1 passes when its order in the table is
-    below k.  It keeps the first split whose halves both chop.  Halves are
-    strictly smaller parts, so the memoised recursion ends and is
-    exhaustive over splits; the roots are the two halves of the full set.
+    below k.  It tries c1 in (order, side) order, the canonical sides of
+    the stratum's pairs, which it sorts so, and then their complements in
+    the same order, and keeps the first split whose halves both chop.
+    Halves are strictly smaller parts, so the memoised recursion ends and
+    is exhaustive over splits; the roots are the two halves of the full
+    set.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -144,6 +147,7 @@ def build_chop_tree(wc: WeightedCanvas, k: int,
         return None
     orders = pool.wc.all_orders()
     pairs = pool.stratum(k).pairs
+    pairs = pairs[np.lexsort((pairs, orders[pairs]))]
     sides = np.concatenate((pairs, pairs ^ pool.full_mask))
 
     @cache

@@ -86,11 +86,14 @@ def f_tangles(stratum: Stratum) -> tuple[Profile, ...]:
 
 
 def restrict(p: Profile, ell: int) -> Profile:
-    """The induced profile on the order-below-ell stratum."""
+    """The induced profile on the order-below-ell stratum: p's side of
+    each of its pairs, and the full side."""
     if ell > p.k:
         raise ValueError(f"cannot restrict a {p.k}-profile upward to {ell}")
     sub = p.pool.stratum(ell)
-    return Profile(sub, frozenset(s for s in p.chosen if s in sub))
+    full = sub.full_mask
+    return Profile(sub, frozenset([full, *(c if c in p.chosen else c ^ full
+                                           for c in sub.pairs.tolist())]))
 
 
 def is_focused(p: Orientation) -> bool:

@@ -117,7 +117,20 @@ def encode_report(report: dict) -> str:
 
 
 def decode_report(text: str) -> dict:
+    """Parse a report, refusing one that lacks what the renderers read: the
+    picture's width and height, max_order, and each tree-set line's side
+    and order."""
     report = json.loads(text)
-    if report.get("schema") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported report schema {report.get('schema')!r}")
+    schema = report.get("schema") if isinstance(report, dict) else None
+    if schema != SCHEMA_VERSION:
+        raise ValueError(f"unsupported report schema {schema!r}")
+    picture, lines = report.get("picture"), report.get("tree_set")
+    if not (isinstance(picture, dict) and isinstance(lines, list)
+            and all(isinstance(line, dict) and isinstance(line.get("side"), str)
+                    for line in lines)
+            and all(isinstance(v, int) for v in [picture.get("width"), picture.get("height"),
+                                                 report.get("max_order"),
+                                                 *(line.get("order") for line in lines)])):
+        raise ValueError("malformed report: it needs picture.width, picture.height, "
+                         "max_order and a tree_set of lines with side and order")
     return report

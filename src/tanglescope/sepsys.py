@@ -92,24 +92,11 @@ class SeparationPool:
             # the blocks of that half whose minimum order is below k.  Index
             # 0 (order 0 < k) is the pair of 0 and the full side, not a
             # line; an odd index i has pixel 0, so its canonical side is
-            # i ^ full.  Sides fit in 32 bits (HARD_PIXEL_CAP), so one uint64
-            # key order << 32 | side sorts the pairs by (order, side).  Each
-            # temporary is dropped as soon as it is used: stratum 1 of a flat
-            # 5x5 has 2^24 - 1 pairs
-            orders = self.wc.all_orders()
+            # i ^ full.  The pairs keep this scan order (see Stratum)
             sides = self._below(k)[1:]
-            odd = sides & 1
-            odd *= np.uint32(self.full_mask)
-            sides ^= odd
-            del odd
-            key = orders[sides].astype(np.uint64)
-            key <<= 32
-            key |= sides
-            del sides
-            key.sort()
-            pairs = key.astype(np.uint32)   # the low 32 bits: the sides
-            pairs.flags.writeable = False
-            cached = self._strata[k] = Stratum(self, k, pairs)
+            sides ^= (sides & 1) * np.uint32(self.full_mask)
+            sides.flags.writeable = False
+            cached = self._strata[k] = Stratum(self, k, sides)
         return cached
 
 
@@ -124,27 +111,18 @@ class Stratum:
 
     A pool builds one Stratum per k and memoises it, so strata compare and
     hash by identity, as pools do.  `pairs` is a read-only uint32 array
-    of the canonical side of every line, sorted by (order, side); a
-    consumer that works on Python ints converts it once with `tolist()`.
-    `members`, both sides of every pair plus 0 and the full side, is
-    derived from `pairs` on first use."""
+    of the canonical side of every line, in the deterministic order of the
+    pool's table scan; a reader that needs another order sorts the pairs
+    itself, and one that works on Python ints converts them once with
+    `tolist()`."""
 
     pool: SeparationPool
     k: int
     pairs: np.ndarray                # canonical side (pixel 0 outside) per line
 
-    @cached_property
-    def members(self) -> frozenset[int]:
-        full = np.uint32(self.full_mask)
-        return frozenset(np.concatenate(
-            (self.pairs, self.pairs ^ full, np.array([0, full], np.uint32))).tolist())
-
     @property
     def full_mask(self) -> int:
         return self.pool.full_mask
-
-    def __contains__(self, side: int) -> bool:
-        return side in self.members
 
 
 def build_universe(wc: WeightedCanvas,

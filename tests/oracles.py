@@ -13,13 +13,15 @@ reference for strata too large for the exhaustive oracles.  Its F'-tangle
 mode (`unfocused=False`) supplies the F'-tangles against which the tests
 check the footnote equivalence, profiles = F'-tangles.
 
-The second part holds definitions that no analysis path needs: the
-standard star set F as an explicit set, principality, induction,
-equivalence of profiles and the complete profile levels.
+The second part holds definitions that no analysis path needs: every
+side of a stratum as a set, the standard star set F as an explicit set,
+principality, induction, equivalence of profiles and the complete
+profile levels.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, product
 
 from tanglescope.profiles import (Orientation, Profile, enumerate_profiles,
@@ -67,12 +69,12 @@ def naive_tangles(stratum: Stratum, stars) -> list[frozenset[int]]:
 def naive_fprime_stars(stratum: Stratum) -> list[frozenset[int]]:
     """All stars {x, y, (x join y) inverse} within the stratum."""
     full = stratum.full_mask
-    members = sorted(stratum.members)
+    sides = members(stratum)
     out = set()
-    for x, y in combinations(members, 2):
+    for x, y in combinations(sorted(sides), 2):
         z = (x & y) ^ full
         star = frozenset({x, y, z})
-        if z in stratum.members and all(
+        if z in sides and all(
             a | b == full for a, b in combinations(star, 2)
         ):
             out.add(star)
@@ -175,6 +177,13 @@ class ReferenceSearch:
 
 # -- definitions used only by tests -------------------------------------------
 
+def members(stratum: Stratum) -> frozenset[int]:
+    """Every side of the stratum: both sides of each pair, 0 and the full side."""
+    full = stratum.full_mask
+    pairs = stratum.pairs.tolist()
+    return frozenset([0, full, *pairs, *(c ^ full for c in pairs)])
+
+
 _ENUMERATE_LIMIT = 400
 
 
@@ -185,10 +194,14 @@ class StarSetF:
 
     stratum: Stratum
 
+    @cached_property
+    def _members(self) -> frozenset[int]:
+        return members(self.stratum)
+
     def __contains__(self, star) -> bool:
         sides = set(star)
         full = self.stratum.full_mask
-        if any(s not in self.stratum for s in sides) or not star_sides(sides, full):
+        if not sides <= self._members or not star_sides(sides, full):
             return False
         if len(sides) == 1 and next(iter(sides)).bit_count() == 1:
             return True  # single pixel
@@ -196,12 +209,12 @@ class StarSetF:
 
     def enumerate(self) -> list[frozenset[int]]:
         """All member stars; only for small strata."""
-        members = sorted(self.stratum.members)
-        if len(members) > _ENUMERATE_LIMIT:
+        sides = sorted(self._members)
+        if len(sides) > _ENUMERATE_LIMIT:
             raise ValueError("stratum too large for star enumeration")
         out = []
         for r in (1, 2, 3):
-            for combo in combinations(members, r):
+            for combo in combinations(sides, r):
                 if combo in self:
                     out.append(frozenset(combo))
         return out
@@ -224,9 +237,12 @@ def is_principal(p: Orientation) -> bool:
 
 
 def induces(p: Profile, q: Profile) -> bool:
+    """The definition: q shares p's pool, and its chosen sides are p's
+    chosen sides of order below q.k."""
     if q.k > p.k:
         raise ValueError("a profile can only induce profiles of lower or equal order")
-    return restrict(p, q.k) == q
+    pool = p.pool
+    return q.pool is pool and q.chosen == {s for s in p.chosen if pool.order_of(s) < q.k}
 
 
 def equivalent(p: Profile, q: Profile) -> bool:

@@ -298,16 +298,31 @@ def test_cli_fixture_deterministic(tmp_path):
     ["analyze", "{grid}", "--pixel-cap", "0"],
     ["analyze", "{missing}"],
     ["render", "{report}", "--style", "svg", "-o", "{svg}"],
+    ["render", "{fieldless}", "--style", "svg", "-o", "{svg}"],
+    ["render", "{listed}", "--style", "mask", "-o", "{svg}"],
+    ["analyze", "{grid}", "--N", "x"],
+    ["analyze"],
+    ["render", "{report}", "--style", "png", "-o", "{svg}"],
 ], ids=["subset-not-hex", "subset-empty", "subset-outside", "negative-N",
-        "pixel-cap-0", "missing-input", "report-schema"])
+        "pixel-cap-0", "missing-input", "report-schema", "report-fields",
+        "report-not-object", "N-not-int", "no-input", "unknown-style"])
 def test_cli_input_errors_exit_1_on_one_line(tmp_path, capsys, argv):
     main(["fixtures", "mono2x2", "-o", str(tmp_path)])
-    report = tmp_path / "report.json"
-    report.write_text(json.dumps({"schema": "tanglescope.report/0"}))
     paths = {"grid": tmp_path / "mono2x2.grid", "missing": tmp_path / "missing.grid",
-             "report": report, "svg": tmp_path / "lines.svg"}
+             "svg": tmp_path / "lines.svg"}
+    for name, report in [("report", {"schema": "tanglescope.report/0"}),
+                         ("fieldless", {"schema": 1}), ("listed", [])]:
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(report))
     capsys.readouterr()
     assert main([a.format_map(paths) for a in argv]) == 1
     err = capsys.readouterr().err
     assert err.startswith("tanglescope: error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_cli_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--help"])
+    assert exc.value.code == 0
+    assert "usage: tanglescope analyze" in capsys.readouterr().out

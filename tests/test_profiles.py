@@ -113,6 +113,20 @@ def test_restriction_closure(pool_mono):
         restrict(enumerate_profiles(pool_mono.stratum(1))[0], 2)
 
 
+@settings(deadline=None, max_examples=30)
+@given(random_weighted(max_pixels=10))
+def test_restrict_matches_definition(wc):
+    # restrict(p, ell) is p's chosen sides of order below ell, on the pool's
+    # ell-stratum, for every profile p and every ell <= p.k
+    pool = build_universe(wc)
+    for k in range(1, pool.max_order + 2):
+        for p in enumerate_profiles(pool.stratum(k)):
+            for ell in range(1, k + 1):
+                q = restrict(p, ell)
+                assert q.stratum is pool.stratum(ell)
+                assert q.chosen == {s for s in p.chosen if pool.order_of(s) < ell}
+
+
 def test_induces_example(pool_mono):
     s2 = pool_mono.stratum(2)
     toward_p11 = next(p for p in enumerate_profiles(s2)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import tanglescope.search as search_module
 from corpus import lshape3x3, picture, rand4x5, weighted
-from oracles import ReferenceSearch
+from oracles import ReferenceSearch, members
 from tanglescope import WeightedCanvas, build_universe, suggest_N
 from tanglescope.search import (_AssignmentSearch, _certified_leaf, _is_full_universe,
                                 find_star_avoiding_orientation)
@@ -50,7 +50,7 @@ def test_superset_masks_match_a_direct_scan():
     full = stratum.full_mask
     for p, column in enumerate(search.incl):
         assert column == sum(1 << i for i, c in enumerate(search.pairs) if c >> p & 1)
-    for side in stratum.members - {0, full}:
+    for side in members(stratum) - {0, full}:
         sup_c, sup_d = search._supersets(side)
         assert sup_c == sum(1 << i for i, c in enumerate(search.pairs) if c & side == side)
         assert sup_d == sum(1 << i for i, c in enumerate(search.pairs)

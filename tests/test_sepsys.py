@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import one_pixel, picture, random_weighted, weighted
+from oracles import members
 from tanglescope import WeightedCanvas, build_universe, suggest_N
 from tanglescope.sepsys import (_BLOCK_BITS, consistent_sides, laminar_sides, nested_sides,
                                 star_sides, void_sides)
@@ -71,16 +72,17 @@ def test_build_universe(pool_mono):
 
 def test_strata(pool_mono):
     s1 = pool_mono.stratum(1)
-    assert s1.members == {0, 0b1111, 0b0001, 0b1110}
     assert s1.pairs.tolist() == [0b1110]
     top = pool_mono.stratum(pool_mono.max_order + 1)
-    assert len(top.members) == 16
-    prev = frozenset()
+    assert sorted(top.pairs.tolist()) == list(range(2, 16, 2))
+    prev = set()
     for k in range(1, pool_mono.max_order + 2):
-        members = pool_mono.stratum(k).members
-        assert prev <= members
-        assert all((s ^ pool_mono.full_mask) in members for s in members)
-        prev = members
+        pairs = pool_mono.stratum(k).pairs.tolist()
+        # canonical sides, each pair once, and the strata grow with k
+        assert all(c & 1 == 0 and 0 < c < pool_mono.full_mask for c in pairs)
+        assert len(set(pairs)) == len(pairs)
+        assert prev <= set(pairs)
+        prev = set(pairs)
     with pytest.raises(ValueError):
         pool_mono.stratum(0)
 
@@ -93,10 +95,9 @@ def test_strata_match_table_scan(wc):
     orders = wc.all_orders().tolist()
     for k in range(1, pool.max_order + 2):
         stratum = pool.stratum(k)
-        pairs = sorted((s for s in range(2, full, 2) if orders[s] < k),
-                       key=lambda s: (orders[s], s))
-        assert stratum.pairs.tolist() == pairs
-        assert stratum.members == {s for s in range(full + 1) if orders[s] < k}
+        pairs = [s for s in range(2, full, 2) if orders[s] < k]
+        assert sorted(stratum.pairs.tolist()) == pairs
+        assert members(stratum) == {s for s in range(full + 1) if orders[s] < k}
         assert pool.stratum(k) is stratum
 
 
@@ -127,8 +128,8 @@ def test_strata_match_brute_force_at_every_width(wc):
     for k in sorted({1} | {o + 1 for o in orders}):
         stratum = pool.stratum(k)
         assert stratum.pairs.dtype == np.uint32
-        expected = sorted((orders[s], s) for s in range(2, full, 2) if orders[s] < k)
-        assert stratum.pairs.tolist() == [s for _, s in expected]
+        expected = [s for s in range(2, full, 2) if orders[s] < k]
+        assert sorted(stratum.pairs.tolist()) == expected
         with pytest.raises(ValueError):
             stratum.pairs[:] = 0
 
@@ -169,13 +170,12 @@ def test_multi_block_strata_match_table_scan(dtype):
         # strata change only where k passes an order
         for k in [1] + [o + 1 for o in np.unique(orders).tolist()]:
             stratum = pool.stratum(k)
-            sides = evens[orders[evens] < k]
-            expected = sides[np.lexsort((sides, orders[sides]))]
+            expected = evens[orders[evens] < k]
             assert stratum.pairs.dtype == np.uint32 and not stratum.pairs.flags.writeable
-            assert np.array_equal(stratum.pairs, expected)
-            members = np.fromiter(stratum.members, np.int64, len(stratum.members))
-            members.sort()
-            assert np.array_equal(members, np.flatnonzero(orders < k))
+            assert np.array_equal(np.sort(stratum.pairs), expected)
+            sides = np.fromiter(members(stratum), np.int64)
+            sides.sort()
+            assert np.array_equal(sides, np.flatnonzero(orders < k))
             levels.add("skips blocks" if (block_min >= k).any() else "every block")
 
     check()
