@@ -176,11 +176,17 @@ class WeightedCanvas:
         return total
 
     def all_orders(self) -> np.ndarray:
-        """Orders of every subset of the pixel set, indexed by bitmask.
+        """Orders of every bipartition of the pixel set: the 2^(n-1)
+        subsets A without the top pixel n-1, indexed by bitmask.
 
-        Built by doubling over pixels.  For A inside the first p pixels,
-        adding pixel p turns every edge at p into a boundary edge except
-        those to a lower neighbour q in A, which stop being one:
+        A side and its complement share their boundary, hence their order,
+        so a side that holds the top pixel reads its order at its
+        complement: order(A) = orders[A ^ full] for A >= 2^(n-1).
+        `SeparationPool.order_of` is the one reader that folds so.
+
+        Built by doubling over pixels 0..n-2.  For A inside the first p
+        pixels, adding pixel p turns every edge at p into a boundary edge
+        except those to a lower neighbour q in A, which stop being one:
         order(A | p) = order(A) + gain[p] - 2 * sum(w over lower q in A),
         where gain[p] is the sum of N - delta over the edges at p.  So the
         upper half orders[2^p : 2^(p+1)] is the lower half plus gain[p],
@@ -194,16 +200,17 @@ class WeightedCanvas:
         and the total edge weight, which is below 2^bits (`from_picture`
         keeps it below 2^32), so each entry ends exact.
 
-        The table takes itemsize * 2^n bytes: 1, 2 or 4 bytes per subset.
-        A table larger than the host's physical memory or the cgroup v2
-        memory limit raises CanvasSizeError before anything is allocated.
+        The table takes itemsize * 2^(n-1) bytes: 1, 2 or 4 bytes per
+        bipartition.  A table larger than the host's physical memory or the
+        cgroup v2 memory limit raises CanvasSizeError before anything is
+        allocated.
         """
         cached = self._order_cache.get("orders")
         if cached is not None:
             return cached
         n = self.npixels
         dtype = np.min_scalar_type(sum(self.N - d for d in self.delta))
-        need = dtype.itemsize << n
+        need = dtype.itemsize << (n - 1)
         memory = _physical_memory()
         if memory is not None and need > memory:
             raise CanvasSizeError(
@@ -219,8 +226,8 @@ class WeightedCanvas:
                 gain[p] += w
                 gain[q] += w
                 lower[p].append((q, dtype.type(2 * w & wrap)))
-        orders = np.zeros(1 << n, dtype=dtype)
-        for p in range(n):
+        orders = np.zeros(1 << (n - 1), dtype=dtype)
+        for p in range(n - 1):
             half = 1 << p
             upper = orders[half:2 * half]
             np.add(orders[:half], dtype.type(gain[p] & wrap), out=upper)

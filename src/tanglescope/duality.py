@@ -129,13 +129,18 @@ def build_chop_tree(wc: WeightedCanvas, k: int,
 
     `chop(part)` tries each split of part into two stratum sides c1 < c2:
     c1 is a side inside part, read with numpy off the array of every
-    stratum side, and c2 = part ^ c1 passes when its order in the table is
-    below k.  It tries c1 in (order, side) order, the canonical sides of
-    the stratum's pairs, which it sorts so, and then their complements in
-    the same order, and keeps the first split whose halves both chop.
-    Halves are strictly smaller parts, so the memoised recursion ends and
-    is exhaustive over splits; the roots are the two halves of the full
-    set.
+    stratum side, and c2 = part ^ c1 passes when its order is below k.
+    It tries c1 in (order, side) order, the canonical sides of the
+    stratum's pairs, which it sorts so, and then their complements in the
+    same order, and keeps the first split whose halves both chop.  Halves
+    are strictly smaller parts, so the memoised recursion ends and is
+    exhaustive over splits; the roots are the two halves of the full set.
+
+    The order table holds the sides without the top pixel, and a side a
+    with it has its complement's order: orders[a ^ (a >> top) * full], a
+    fold without a branch.  In a split, c1 < c2 exactly when c1 lacks
+    part's highest pixel, which c2 then holds; so every c2 of part holds
+    the top pixel just when part does, and all of them fold as part does.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -146,17 +151,19 @@ def build_chop_tree(wc: WeightedCanvas, k: int,
     if max(pool.pixel_orders) >= k:
         return None
     orders = pool.wc.all_orders()
+    full, top = pool.full_mask, wc.npixels - 1
     pairs = pool.stratum(k).pairs
-    pairs = pairs[np.lexsort((pairs, orders[pairs]))]
-    sides = np.concatenate((pairs, pairs ^ pool.full_mask))
+    pairs = pairs[np.lexsort((pairs, orders[pairs ^ (pairs >> top) * full]))]
+    sides = np.concatenate((pairs, pairs ^ full))
 
     @cache
     def chop(part: int) -> ChopNode | None:
         if part.bit_count() == 1:
             return ChopNode(part, ())
-        inside = sides[(sides & part) == sides]
-        rest = inside ^ part
-        for c1 in inside[(inside < rest) & (orders[rest] < k)].tolist():
+        low = part ^ (1 << (part.bit_length() - 1))
+        inside = sides[(sides & low) == sides]
+        rest = inside ^ (part ^ (part >> top) * full)   # each c2, folded
+        for c1 in inside[orders[rest] < k].tolist():
             left = chop(c1)
             right = left and chop(part ^ c1)
             if right:

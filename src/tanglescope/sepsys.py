@@ -15,9 +15,12 @@ import numpy as np
 
 from .canvas import DEFAULT_PIXEL_CAP, HARD_PIXEL_CAP, CanvasSizeError, WeightedCanvas
 
-# strata read the half order table in blocks of 2^12 entries (4 KiB of a
-# uint8 table), skipping every block whose minimum order is at least k
+# strata read the order table in blocks of 2^12 entries (4 KiB of a uint8
+# table), skipping every block whose minimum order is at least k, and scan
+# the blocks they read in chunks of 2^16 entries, so that no index array
+# spans more than one chunk
 _BLOCK_BITS = 12
+_CHUNK_BITS = 16
 
 
 class SeparationPool:
@@ -27,6 +30,7 @@ class SeparationPool:
     def __init__(self, wc: WeightedCanvas):
         self.wc = wc
         self.full_mask = wc.full_mask
+        self._top = wc.npixels - 1
         # the F-tangles of level k: listed by profiles.f_tangles, or () where
         # duality.find_f_tangle found a verified chop tree
         self._f_tangles: dict[int, tuple] = {}
@@ -37,72 +41,79 @@ class SeparationPool:
     # -- orders --------------------------------------------------------------
 
     def order_of(self, side: int) -> int:
+        # the table holds the sides without the top pixel; a side with it
+        # shares its order with its complement
+        if side >> self._top:
+            side ^= self.full_mask
         return int(self.wc.all_orders()[side])
 
     @cached_property
     def max_order(self) -> int:
-        # a side and its complement share an order, so half the table has them all
-        return int(_half(self.wc.all_orders()).max())
+        return int(self.wc.all_orders().max())
 
     @cached_property
     def pixel_orders(self) -> tuple[int, ...]:
         """order({p}) of every pixel p, in pixel order."""
-        orders = self.wc.all_orders()
-        return tuple(int(orders[1 << p]) for p in range(self.wc.npixels))
+        return tuple(self.order_of(1 << p) for p in range(self.wc.npixels))
 
     # -- strata --------------------------------------------------------------
 
     @cached_property
     def _block_min(self) -> np.ndarray:
-        """The minimum order of each 2^_BLOCK_BITS-entry block of the half
+        """The minimum order of each 2^_BLOCK_BITS-entry block of the order
         table, in one pass; read by strata of 14 pixels or more."""
-        half = _half(self.wc.all_orders())
-        return half.reshape(-1, 1 << _BLOCK_BITS).min(axis=1)
+        return self.wc.all_orders().reshape(-1, 1 << _BLOCK_BITS).min(axis=1)
 
     def _below(self, k: int) -> np.ndarray:
-        """The indices of the half table with order below k, ascending, as
-        uint32.  Only the runs of blocks whose minimum is below k are read;
-        the first run starts at block 0, which holds index 0 (order 0)."""
-        half = _half(self.wc.all_orders())
-        if len(half) <= 1 << _BLOCK_BITS:
-            bounds = [0, 1]      # one block: scan it without an index
+        """The canonical side of every entry of the order table with order
+        below k, in table order, as uint32; the first is index 0 (order 0),
+        the pair of 0 and the full side.  Only the runs of blocks whose
+        minimum is below k are read, the first from block 0.  Each run is
+        scanned in chunks twice, to count the hits and then to fill one
+        array of that length, so no index array outlives its chunk."""
+        orders = self.wc.all_orders()
+        if len(orders) <= 1 << _BLOCK_BITS:
+            bounds = [0, len(orders)]      # one block: scan it without an index
         else:
             # the block edges of the runs, alternately start and end
             below = self._block_min < k
-            bounds = [0, *(np.flatnonzero(below[1:] != below[:-1]) + 1).tolist()]
+            edges = [0, *(np.flatnonzero(below[1:] != below[:-1]) + 1).tolist()]
             if below[-1]:
-                bounds.append(len(below))
-        parts = []
-        for lo, hi in zip(bounds[::2], bounds[1::2]):
-            lo <<= _BLOCK_BITS
-            part = np.flatnonzero(half[lo:hi << _BLOCK_BITS] < k).astype(np.uint32)
+                edges.append(len(below))
+            bounds = [edge << _BLOCK_BITS for edge in edges]
+        chunks = [(lo, min(lo + (1 << _CHUNK_BITS), hi))
+                  for start, hi in zip(bounds[::2], bounds[1::2])
+                  for lo in range(start, hi, 1 << _CHUNK_BITS)]
+        counts = [np.count_nonzero(orders[lo:hi] < k) for lo, hi in chunks]
+        sides = np.empty(sum(counts), np.uint32)
+        full = np.uint32(self.full_mask)
+        at = 0
+        for (lo, hi), count in zip(chunks, counts):
+            part = sides[at:at + count]
+            part[:] = (orders[lo:hi] < k).nonzero()[0]
             if lo:
                 part += np.uint32(lo)
-            parts.append(part)
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+            # an odd index holds pixel 0, so its canonical side is i ^ full
+            part ^= (part & 1) * full
+            at += count
+        return sides
 
     def stratum(self, k: int) -> "Stratum":
         if k < 1:
             raise ValueError("stratum index k must be at least 1")
         cached = self._strata.get(k)
         if cached is None:
-            # a side and its complement share a boundary, hence an order, so
-            # each pair has one side in the contiguous half of the table that
-            # holds the sides without the top pixel, and `_below` reads only
-            # the blocks of that half whose minimum order is below k.  Index
-            # 0 (order 0 < k) is the pair of 0 and the full side, not a
-            # line; an odd index i has pixel 0, so its canonical side is
-            # i ^ full.  The pairs keep this scan order (see Stratum)
+            # a side and its complement share a boundary, hence an order, and
+            # the order table holds one side of each pair, the one without
+            # the top pixel; `_below` reads only the blocks of the table
+            # whose minimum order is below k and maps each entry to its
+            # canonical side.  Index 0 (order 0 < k) is the pair of 0 and
+            # the full side, not a line.  The pairs keep this scan order
+            # (see Stratum)
             sides = self._below(k)[1:]
-            sides ^= (sides & 1) * np.uint32(self.full_mask)
             sides.flags.writeable = False
             cached = self._strata[k] = Stratum(self, k, sides)
         return cached
-
-
-def _half(orders: np.ndarray) -> np.ndarray:
-    """The half of the order table that holds the sides without the top pixel."""
-    return orders[:len(orders) >> 1]
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,10 +13,10 @@ reference for strata too large for the exhaustive oracles.  Its F'-tangle
 mode (`unfocused=False`) supplies the F'-tangles against which the tests
 check the footnote equivalence, profiles = F'-tangles.
 
-The second part holds definitions that no analysis path needs: every
-side of a stratum as a set, the standard star set F as an explicit set,
-principality, induction, equivalence of profiles and the complete
-profile levels.
+The second part holds definitions that no analysis path needs: the order
+of every subset as one table, every side of a stratum as a set, the
+standard star set F as an explicit set, principality, induction,
+equivalence of profiles and the complete profile levels.
 """
 from __future__ import annotations
 
@@ -24,6 +24,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product
 
+import numpy as np
+
+from tanglescope.canvas import WeightedCanvas
 from tanglescope.profiles import (Orientation, Profile, enumerate_profiles,
                                   is_focused, is_profile, restrict)
 from tanglescope.sepsys import SeparationPool, Stratum, star_sides, void_sides
@@ -176,6 +179,16 @@ class ReferenceSearch:
 
 
 # -- definitions used only by tests -------------------------------------------
+
+def full_orders(wc: WeightedCanvas) -> np.ndarray:
+    """The order of every subset of the pixel set, indexed by bitmask.
+
+    The canvas's table t holds the subsets without the top pixel; a subset
+    i with it has the order of its complement i ^ full = full - i, which is
+    entry i - 2^(n-1) of t reversed."""
+    t = wc.all_orders()
+    return np.concatenate((t, t[::-1]))
+
 
 def members(stratum: Stratum) -> frozenset[int]:
     """Every side of the stratum: both sides of each pair, 0 and the full side."""

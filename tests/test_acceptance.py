@@ -8,7 +8,7 @@ import pytest
 
 from corpus import (LARGE_PICTURES, SMALL_PICTURES, TWELVE_PIXEL_PICTURES,
                     lcg_stream, weighted)
-from oracles import ReferenceSearch, naive_profiles, orientation_of
+from oracles import ReferenceSearch, full_orders, naive_profiles, orientation_of
 from tanglescope import (analyze, build_chop_tree, build_distinguishing_tree_set,
                          build_universe, distinguishes, encode_report,
                          enumerate_profiles, is_focused,
@@ -32,7 +32,7 @@ def test_criterion_1_submodularity(capsys):
     for name in sorted(SMALL_PICTURES):
         wc = weighted(SMALL_PICTURES[name])
         assert wc.npixels <= 9
-        table = wc.all_orders().astype(np.int64)
+        table = full_orders(wc).astype(np.int64)
         masks = np.arange(wc.full_mask + 1, dtype=np.uint64)
         for a in range(wc.full_mask + 1):
             av = np.uint64(a)
@@ -42,7 +42,7 @@ def test_criterion_1_submodularity(capsys):
     for name in sorted(LARGE_PICTURES):
         wc = weighted(LARGE_PICTURES[name])
         assert 16 <= wc.npixels <= 20
-        table = wc.all_orders().astype(np.int64)
+        table = full_orders(wc).astype(np.int64)
         samples = lcg_stream(sum(name.encode()), 20_000, bits=wc.npixels)
         a = np.array(samples[:10_000], dtype=np.uint64)
         b = np.array(samples[10_000:], dtype=np.uint64)
@@ -56,7 +56,7 @@ def test_criterion_1_submodularity(capsys):
 
 def test_criterion_2_letter_l(capsys, wc_minil, pool_minil):
     t0 = time.time()
-    orders = wc_minil.all_orders()
+    orders = full_orders(wc_minil)
     zero_sides = np.nonzero(orders == 0)[0]
     proper = [int(s) for s in zero_sides if 0 < s < wc_minil.full_mask]
     l_mask = sum(1 << (r * 5 + c) for r in range(5) for c in range(5)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from corpus import (SMALL_PICTURES, lshape3x3, one_pixel, picture, rand4x5,
                     random_weighted, weighted, white2x2)
+from oracles import full_orders
 from tanglescope import (CanvasSizeError, PictureError, WeightedCanvas, analyze,
                          attach_picture, boundary, build_grid_canvas,
                          edge_weight, fixture, suggest_N)
@@ -112,8 +113,9 @@ def test_n_below_max_delta_rejected():
 
 
 def _assert_table_matches_order(wc):
-    table = wc.all_orders()
-    assert table.shape == (wc.full_mask + 1,)
+    # the half table, and through full_orders every subset it folds onto it
+    assert wc.all_orders().shape == (1 << (wc.npixels - 1),)
+    table = full_orders(wc)
     for a in range(wc.full_mask + 1):
         assert int(table[a]) == wc.order(a)
 
@@ -127,6 +129,17 @@ def test_all_orders_matches_scalar_order():
 @given(random_weighted(max_extra_N=10**6))
 def test_all_orders_matches_scalar_order_random(wc):
     _assert_table_matches_order(wc)
+
+
+@pytest.mark.parametrize("builder", [one_pixel, white2x2, lshape3x3, rand4x5])
+@pytest.mark.parametrize("N_extra", [0, 300, 70000])
+def test_order_table_holds_one_order_per_bipartition(builder, N_extra):
+    pic = builder()
+    wc = WeightedCanvas.from_picture(pic, suggest_N(pic) + N_extra)
+    table = wc.all_orders()
+    n = wc.npixels
+    assert len(table) == 1 << (n - 1)
+    assert table.nbytes == table.itemsize << (n - 1)
 
 
 @st.composite
@@ -162,7 +175,7 @@ def test_all_orders_large_offset():
     assert int(wc.all_orders().max()) == max(wc.order(a) for a in range(16))
     # the largest total edge weight that fits in uint32 is still exact
     two = WeightedCanvas.from_picture(picture(2, 1, [0, 0]), (1 << 32) - 1)
-    assert two.all_orders().tolist() == [0, (1 << 32) - 1, (1 << 32) - 1, 0]
+    assert full_orders(two).tolist() == [0, (1 << 32) - 1, (1 << 32) - 1, 0]
     with pytest.raises(PictureError):
         WeightedCanvas.from_picture(fixture("mono2x2"), 1 << 32)
     with pytest.raises(PictureError):
@@ -187,30 +200,29 @@ def test_order_table_width_boundaries(name, N, total, dtype):
     pic = picture(2, 1, [0, 0]) if name == "2x1" else fixture(name)
     wc = WeightedCanvas.from_picture(pic, N)
     assert sum(N - d for d in wc.delta) == total
-    table = wc.all_orders()
-    assert table.dtype == dtype
-    assert table.tolist() == [wc.order(a) for a in range(wc.full_mask + 1)]
+    assert wc.all_orders().dtype == dtype
+    assert full_orders(wc).tolist() == [wc.order(a) for a in range(wc.full_mask + 1)]
 
 
 def test_order_table_over_physical_memory_is_refused(monkeypatch):
     # the memory probe is patched, so nothing near the limit is allocated
-    wc = weighted(white2x2)   # 4 pixels, total weight 0: a 1 * 2^4 = 16-byte table
-    monkeypatch.setattr(canvas_module, "_physical_memory", lambda: 15)
-    with pytest.raises(CanvasSizeError, match="needs 16 bytes"):
+    wc = weighted(white2x2)   # 4 pixels, total weight 0: a 1 * 2^3 = 8-byte table
+    monkeypatch.setattr(canvas_module, "_physical_memory", lambda: 7)
+    with pytest.raises(CanvasSizeError, match="needs 8 bytes"):
         wc.all_orders()
-    monkeypatch.setattr(canvas_module, "_physical_memory", lambda: 16)
-    assert wc.all_orders().tolist() == [wc.order(a) for a in range(16)]
-    # a total weight of 4 * 70000 needs uint32: a 4 * 2^4 = 64-byte table
+    monkeypatch.setattr(canvas_module, "_physical_memory", lambda: 8)
+    assert full_orders(wc).tolist() == [wc.order(a) for a in range(16)]
+    # a total weight of 4 * 70000 needs uint32: a 4 * 2^3 = 32-byte table
     wide = WeightedCanvas.from_picture(white2x2(), 70000)
-    monkeypatch.setattr(canvas_module, "_physical_memory", lambda: 63)
-    with pytest.raises(CanvasSizeError, match="needs 64 bytes"):
+    monkeypatch.setattr(canvas_module, "_physical_memory", lambda: 31)
+    with pytest.raises(CanvasSizeError, match="needs 32 bytes"):
         wide.all_orders()
-    monkeypatch.setattr(canvas_module, "_physical_memory", lambda: 64)
-    assert wide.all_orders().tolist() == [wide.order(a) for a in range(16)]
-    # 32 flat pixels at the hard cap would ask for a 4 GiB uint8 table
+    monkeypatch.setattr(canvas_module, "_physical_memory", lambda: 32)
+    assert full_orders(wide).tolist() == [wide.order(a) for a in range(16)]
+    # 32 flat pixels at the hard cap would ask for a 2 GiB uint8 table
     big = WeightedCanvas.from_picture(picture(8, 4, [0] * 32, pixel_cap=32))
-    monkeypatch.setattr(canvas_module, "_physical_memory", lambda: (4 << 30) - 1)
-    with pytest.raises(CanvasSizeError, match=f"needs {4 << 30} bytes"):
+    monkeypatch.setattr(canvas_module, "_physical_memory", lambda: (2 << 30) - 1)
+    with pytest.raises(CanvasSizeError, match=f"needs {2 << 30} bytes"):
         analyze(big, pixel_cap=32)
     assert not big._order_cache
 
@@ -229,12 +241,12 @@ def test_cgroup_memory_limit_is_read(monkeypatch, tmp_path):
     if host is not None:
         limit.write_text(f"{2 * host}\n")
         assert canvas_module._physical_memory() == host
-    wc = weighted(white2x2)   # a 16-byte uint8 order table
-    limit.write_text("15\n")
-    with pytest.raises(CanvasSizeError, match="needs 16 bytes"):
+    wc = weighted(white2x2)   # an 8-byte uint8 order table
+    limit.write_text("7\n")
+    with pytest.raises(CanvasSizeError, match="needs 8 bytes"):
         wc.all_orders()
-    limit.write_text("16\n")
-    assert wc.all_orders().tolist() == [wc.order(a) for a in range(16)]
+    limit.write_text("8\n")
+    assert full_orders(wc).tolist() == [wc.order(a) for a in range(16)]
     # a path that cannot be read as a file leaves the host's figure
     monkeypatch.setattr(canvas_module, "_CGROUP_MEMORY_MAX", str(tmp_path))
     assert canvas_module._physical_memory() == host
@@ -243,7 +255,7 @@ def test_cgroup_memory_limit_is_read(monkeypatch, tmp_path):
 @pytest.mark.parametrize("name", sorted(SMALL_PICTURES))
 def test_submodularity_exhaustive_small(name):
     wc = weighted(SMALL_PICTURES[name])
-    table = wc.all_orders().astype(np.int64)
+    table = full_orders(wc).astype(np.int64)
     size = wc.full_mask + 1
     masks = np.arange(size, dtype=np.uint64)
     for a in range(size):

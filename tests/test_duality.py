@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import gc
 import subprocess
 import sys
@@ -9,12 +10,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import tanglescope.duality as duality
 import tanglescope.profiles as profiles_module
 import tanglescope.report as report_module
 from corpus import (TWELVE_PIXEL_PICTURES, defect4x4, dot4x5, lshape3x3, one_pixel,
-                    picture, weighted)
+                    picture, random_weighted, weighted)
 from oracles import (ReferenceSearch, StarSetF, _consistent, all_orientations,
                      is_principal, members, naive_fprime_stars, naive_tangles,
                      orientation_of)
@@ -370,6 +372,31 @@ def test_chop_tree_mono(wc_mono, pool_mono):
     assert tree is not None
     assert verify_chop_tree(tree, wc_mono, pool_mono).ok
     assert build_chop_tree(wc_mono, 2, pool_mono) is None
+
+
+@settings(deadline=None, max_examples=40)
+@given(random_weighted(max_pixels=8, max_extra_N=3))
+def test_chop_tree_reads_folded_orders(wc):
+    # canonical sides (pixel 0 outside) may hold the top pixel, whose orders
+    # build_chop_tree reads folded: a tree is built exactly where splits of
+    # order below k, checked with the scalar order, chop down to pixels
+    pool = build_universe(wc)
+    top = 1 << (wc.npixels - 1)
+    for k in range(1, pool.max_order + 2):
+        ordered = {s for s in range(1, wc.full_mask) if wc.order(s) < k}
+
+        @functools.cache
+        def choppable(part):
+            return part.bit_count() == 1 or any(
+                c & part == c and c < part ^ c and part ^ c in ordered
+                and choppable(c) and choppable(part ^ c) for c in ordered)
+
+        tree = build_chop_tree(wc, k, pool)
+        assert (tree is not None) == choppable(wc.full_mask)
+        if tree is not None:
+            assert verify_chop_tree(tree, wc, pool).ok
+            if wc.npixels > 1:
+                assert any(c & top for c in pool.stratum(k).pairs.tolist())
 
 
 def _replace_node(node, target, new):

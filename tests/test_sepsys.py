@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import one_pixel, picture, random_weighted, weighted
-from oracles import members
+from oracles import full_orders, members
 from tanglescope import WeightedCanvas, build_universe, suggest_N
 from tanglescope.sepsys import (_BLOCK_BITS, consistent_sides, laminar_sides, nested_sides,
                                 star_sides, void_sides)
@@ -20,6 +20,17 @@ def test_inverse(pool_mono):
     full = pool_mono.full_mask
     for s in range(full + 1):
         assert pool_mono.order_of(s) == pool_mono.order_of(s ^ full)
+
+
+@settings(deadline=None, max_examples=60)
+@given(random_weighted(max_pixels=10, max_extra_N=10**5))
+def test_order_of_folds_sides_with_the_top_pixel(wc):
+    # the table holds the sides without the top pixel; order_of folds the
+    # others onto their complements
+    pool = build_universe(wc)
+    assert [pool.order_of(s) for s in range(wc.full_mask + 1)] == \
+        [wc.order(s) for s in range(wc.full_mask + 1)]
+    assert pool.pixel_orders[-1] == wc.order(1 << (wc.npixels - 1))
 
 
 def test_nestedness(pool_mono):
@@ -92,7 +103,7 @@ def test_strata(pool_mono):
 def test_strata_match_table_scan(wc):
     pool = build_universe(wc)
     full = pool.full_mask
-    orders = wc.all_orders().tolist()
+    orders = full_orders(wc).tolist()
     for k in range(1, pool.max_order + 2):
         stratum = pool.stratum(k)
         pairs = [s for s in range(2, full, 2) if orders[s] < k]
@@ -161,10 +172,9 @@ def test_multi_block_strata_match_table_scan(dtype):
     @given(_multi_block_weighted(dtype))
     def check(wc):
         pool = build_universe(wc)
-        orders = wc.all_orders()
+        orders = full_orders(wc)
         assert pool.max_order == int(orders.max())
-        half = orders[:len(orders) >> 1]
-        block_min = half.reshape(-1, 1 << _BLOCK_BITS).min(axis=1)
+        block_min = wc.all_orders().reshape(-1, 1 << _BLOCK_BITS).min(axis=1)
         assert len(block_min) >= 2
         evens = np.arange(2, len(orders), 2)   # canonical sides: pixel 0 outside
         # strata change only where k passes an order
@@ -195,6 +205,22 @@ def test_glyph_strata_read_few_blocks(wc_minil):
     finally:
         tracemalloc.stop()
     assert peak < 4 << 20
+
+
+def test_flat_stratum_holds_no_table_wide_index():
+    # every order of the flat 5x4 is 0, so stratum 1 reads every block of
+    # the table: its scan holds no index or mask beyond one chunk
+    wc = WeightedCanvas.from_picture(picture(5, 4, [0] * 20))
+    wc.all_orders()
+    pool = build_universe(wc)
+    tracemalloc.start()
+    try:
+        pairs = pool.stratum(1).pairs
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(pairs) == (1 << 19) - 1
+    assert peak <= pairs.nbytes + (1 << 20)
 
 
 @settings(deadline=None, max_examples=200)
