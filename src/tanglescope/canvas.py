@@ -8,7 +8,6 @@ from __future__ import annotations
 import os
 from contextlib import suppress
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -19,6 +18,9 @@ HARD_PIXEL_CAP = 32
 # is uint8, uint16 or uint32, the narrowest that holds the total
 _ORDER_LIMIT = (1 << 32) - 1
 _CGROUP_MEMORY_MAX = "/sys/fs/cgroup/memory.max"
+# the order table splits a side's index at this many bits into a block and
+# an offset (see WeightedCanvas.all_orders)
+_BLOCK_BITS = 12
 
 
 def _physical_memory() -> int | None:
@@ -30,7 +32,8 @@ def _physical_memory() -> int | None:
     with suppress(AttributeError, ValueError, OSError):
         figures.append(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
     with suppress(OSError, ValueError):   # a limit of "max" raises ValueError
-        figures.append(int(Path(_CGROUP_MEMORY_MAX).read_text()))
+        with open(_CGROUP_MEMORY_MAX) as limit:
+            figures.append(int(limit.read()))
     return min(figures, default=None)
 
 
@@ -132,6 +135,18 @@ def boundary(canvas: Canvas, A: int) -> frozenset[int]:
     return frozenset(out)
 
 
+@dataclass(frozen=True, eq=False)
+class OrderTable:
+    """The orders of the 2^(n-1) sides without the top pixel, factored at
+    the block boundary (see `WeightedCanvas.all_orders`): the side
+    h * len(rows[0]) + l has order
+    block_min[h] + rows[pattern[h % len(pattern)]][l]."""
+
+    block_min: np.ndarray   # the minimum order of each block
+    pattern: np.ndarray     # the row of each block, periodic in h
+    rows: np.ndarray        # the orders within a block, less its minimum
+
+
 @dataclass(frozen=True)
 class WeightedCanvas:
     """Picture plus edge weighting and offset; owns the order function."""
@@ -175,50 +190,67 @@ class WeightedCanvas:
                 total += self.N - d
         return total
 
-    def all_orders(self) -> np.ndarray:
-        """Orders of every bipartition of the pixel set: the 2^(n-1)
-        subsets A without the top pixel n-1, indexed by bitmask.
+    def all_orders(self) -> OrderTable:
+        """The orders of the 2^(n-1) subsets A without the top pixel n-1,
+        as an OrderTable of two factors; no array of 2^(n-1) orders is
+        built.
 
         A side and its complement share their boundary, hence their order,
         so a side that holds the top pixel reads its order at its
-        complement: order(A) = orders[A ^ full] for A >= 2^(n-1).
-        `SeparationPool.order_of` is the one reader that folds so.
+        complement.  `SeparationPool` is the one reader that folds so.
 
-        Built by doubling over pixels 0..n-2.  For A inside the first p
-        pixels, adding pixel p turns every edge at p into a boundary edge
-        except those to a lower neighbour q in A, which stop being one:
-        order(A | p) = order(A) + gain[p] - 2 * sum(w over lower q in A),
-        where gain[p] is the sum of N - delta over the edges at p.  So the
-        upper half orders[2^p : 2^(p+1)] is the lower half plus gain[p],
-        then minus 2w on the entries with bit q set, for each lower
-        neighbour q, all in place.
+        The index A = h * 2^b + l splits at b = min(12, n - 1) bits into a
+        block h (the block pixels b..n-2) and an offset l (the offset
+        pixels 0..b-1).  An edge inside the offset pixels, or from one to
+        the top pixel, crosses the cut of A depending on l alone; an edge
+        inside the block pixels, or from one to the top pixel, on h alone.
+        An edge of weight w from offset pixel q to block pixel p adds
+        w * (A_q + A_p - 2 * A_q * A_p), whose product term depends on l
+        and on whether A holds p.  Call B the block pixels with an offset
+        neighbour, and h's pixels in B its pattern.  Then
+        order(h * 2^b + l) = block_min[h] + rows[pattern(h)][l] exactly,
+        with each row shifted so that its minimum is 0, which makes
+        block_min[h] the minimum order of block h.
 
-        The table's dtype is the narrowest of uint8, uint16 and uint32 that
-        holds the total edge weight.  The build runs modulo 2^bits of that
-        dtype: gain[p] and 2w are reduced modulo 2^bits first, and every
-        addition and subtraction wraps.  Each final order lies between 0
-        and the total edge weight, which is below 2^bits (`from_picture`
-        keeps it below 2^32), so each entry ends exact.
+        Both factors come from doubling.  For A inside a list of pixels
+        and with the pixels off the list outside, adding the next pixel p
+        of the list turns every edge at p into a boundary edge except those
+        to an earlier listed neighbour q in A, which stop being one:
+        order(A | p) = order(A) + gain[p] - 2 * sum(w over earlier q in A),
+        where gain[p] is the sum of N - delta over the edges at p.
+        - Doubling over the offset pixels and then B gives the orders of
+          every l with every pattern, one row per pattern, the first row
+          with no pixel of B.  Shifting each row by its minimum gives rows.
+        - Doubling over the block pixels gives order(h * 2^b), block h with
+          no offset pixel, and adding each pattern's row minimum less that
+          row's first entry gives block_min.
+        - pattern(h) = pattern[h % len(pattern)]: a pattern is read off
+          the block bits up to the highest pixel of B.
 
-        The table takes itemsize * 2^(n-1) bytes: 1, 2 or 4 bytes per
-        bipartition.  A table larger than the host's physical memory or the
-        cgroup v2 memory limit raises CanvasSizeError before anything is
-        allocated.
+        The factors' dtype is the narrowest of uint8, uint16 and uint32
+        that holds the total edge weight.  The doubling runs modulo 2^bits
+        of that dtype: gain[p] and 2w are reduced modulo 2^bits first, and
+        every addition and subtraction wraps.  Each final entry lies
+        between 0 and the total edge weight, which is below 2^bits
+        (`from_picture` keeps it below 2^32), so it ends exact.
+
+        A table of at most 13 pixels is one block: block_min is [0] and its
+        one row holds every order.  The rows of the 2^|B| patterns take no
+        more entries than 2^(n-1); a 25-px grid picture has at most 5
+        pixels in B, so its uint8 table takes 4 KiB of block minima and at
+        most 128 KiB of rows.  A table larger than the host's physical
+        memory or the cgroup v2 memory limit raises CanvasSizeError before
+        anything is allocated.
         """
         cached = self._order_cache.get("orders")
         if cached is not None:
             return cached
         n = self.npixels
         dtype = np.min_scalar_type(sum(self.N - d for d in self.delta))
-        need = dtype.itemsize << (n - 1)
-        memory = _physical_memory()
-        if memory is not None and need > memory:
-            raise CanvasSizeError(
-                f"the order table of {n} pixels needs {need} bytes, more than "
-                f"the {memory} bytes of memory the process may use")
         wrap = np.iinfo(dtype).max   # 2^bits - 1: reduces a scalar modulo 2^bits
+        bits = min(_BLOCK_BITS, n - 1)
         gain = [0] * n
-        lower: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        lower: list[list[tuple[int, np.integer]]] = [[] for _ in range(n)]
         for (a, b), d in zip(self.canvas.edges, self.delta):
             w = self.N - d
             if w:
@@ -226,12 +258,42 @@ class WeightedCanvas:
                 gain[p] += w
                 gain[q] += w
                 lower[p].append((q, dtype.type(2 * w & wrap)))
-        orders = np.zeros(1 << (n - 1), dtype=dtype)
-        for p in range(n - 1):
-            half = 1 << p
-            upper = orders[half:2 * half]
-            np.add(orders[:half], dtype.type(gain[p] & wrap), out=upper)
-            for q, w2 in lower[p]:
-                upper.reshape(-1, 2, 1 << q)[:, 1, :] -= w2
-        self._order_cache["orders"] = orders
-        return orders
+        # B: the block pixels below the top pixel with an offset neighbour
+        crossing = [p for p in range(bits, n - 1) if any(q < bits for q, _ in lower[p])]
+        period = 1 << (crossing[-1] - bits + 1) if crossing else 1
+        pattern_dtype = np.min_scalar_type((1 << len(crossing)) - 1)
+        need = (dtype.itemsize * ((1 << (n - 1 - bits)) + (1 << (len(crossing) + bits)))
+                + pattern_dtype.itemsize * period)
+        memory = _physical_memory()
+        if memory is not None and need > memory:
+            raise CanvasSizeError(
+                f"the order table of {n} pixels needs {need} bytes, more than "
+                f"the {memory} bytes of memory the process may use")
+
+        def doubled(pixels: list[int]) -> np.ndarray:
+            # the order of every subset of `pixels`, the others outside
+            bit = {p: j for j, p in enumerate(pixels)}
+            orders = np.zeros(1 << len(pixels), dtype)
+            for j, p in enumerate(pixels):
+                upper = orders[1 << j:2 << j]
+                np.add(orders[:1 << j], dtype.type(gain[p] & wrap), out=upper)
+                for q, w2 in lower[p]:
+                    if q in bit:
+                        upper.reshape(-1, 2, 1 << bit[q])[:, 1, :] -= w2
+            return orders
+
+        rows = doubled([*range(bits), *crossing]).reshape(-1, 1 << bits)
+        block_min = doubled(list(range(bits, n - 1)))
+        pattern = np.zeros(period, pattern_dtype)
+        if crossing:
+            # the first row holds the orders of the offsets alone, whose
+            # minimum is its entry 0, order 0: only other rows shift
+            row_min = rows.min(axis=1)
+            shift = row_min - rows[:, 0]   # wraps: at most 0
+            rows -= row_min[:, None]
+            for i, p in enumerate(crossing):
+                pattern |= ((np.arange(period) >> (p - bits) & 1) << i).astype(pattern_dtype)
+            columns = block_min.reshape(-1, period)
+            columns += shift[pattern]
+        table = self._order_cache["orders"] = OrderTable(block_min, pattern, rows)
+        return table

@@ -127,20 +127,18 @@ def build_chop_tree(wc: WeightedCanvas, k: int,
     and the answer is None without a search; `find_f_tangle` answers the
     same levels with the principal orientation toward p.
 
-    `chop(part)` tries each split of part into two stratum sides c1 < c2:
-    c1 is a side inside part, read with numpy off the array of every
-    stratum side, and c2 = part ^ c1 passes when its order is below k.
-    It tries c1 in (order, side) order, the canonical sides of the
-    stratum's pairs, which it sorts so, and then their complements in the
-    same order, and keeps the first split whose halves both chop.  Halves
-    are strictly smaller parts, so the memoised recursion ends and is
-    exhaustive over splits; the roots are the two halves of the full set.
-
-    The order table holds the sides without the top pixel, and a side a
-    with it has its complement's order: orders[a ^ (a >> top) * full], a
-    fold without a branch.  In a split, c1 < c2 exactly when c1 lacks
-    part's highest pixel, which c2 then holds; so every c2 of part holds
-    the top pixel just when part does, and all of them fold as part does.
+    `chop(part)` tries each split of part into two stratum sides c1 < c2.
+    In a split, c1 < c2 exactly when c1 lacks part's highest pixel, so
+    the candidates c1 are the stratum sides inside part less that pixel,
+    read with numpy off the array of every stratum side.  It walks them
+    in (order, side) order, the canonical sides of the stratum's pairs,
+    which it sorts so with one vectorised `pool.orders_of` read, and then
+    their complements in the same order.  A candidate passes when
+    c2 = part ^ c1 has order below k, read with `pool.order_of` only as
+    the walk reaches it, and the first split whose halves both chop is
+    kept.  Halves are strictly smaller parts, so the memoised recursion
+    ends and is exhaustive over splits; the roots are the two halves of
+    the full set.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -150,10 +148,10 @@ def build_chop_tree(wc: WeightedCanvas, k: int,
         return ChopTree(k, (ChopNode(wc.full_mask, ()),))
     if max(pool.pixel_orders) >= k:
         return None
-    orders = pool.wc.all_orders()
-    full, top = pool.full_mask, wc.npixels - 1
+    full = pool.full_mask
+    order_of = pool.order_of
     pairs = pool.stratum(k).pairs
-    pairs = pairs[np.lexsort((pairs, orders[pairs ^ (pairs >> top) * full]))]
+    pairs = pairs[np.lexsort((pairs, pool.orders_of(pairs)))]
     sides = np.concatenate((pairs, pairs ^ full))
 
     @cache
@@ -161,13 +159,12 @@ def build_chop_tree(wc: WeightedCanvas, k: int,
         if part.bit_count() == 1:
             return ChopNode(part, ())
         low = part ^ (1 << (part.bit_length() - 1))
-        inside = sides[(sides & low) == sides]
-        rest = inside ^ (part ^ (part >> top) * full)   # each c2, folded
-        for c1 in inside[orders[rest] < k].tolist():
-            left = chop(c1)
-            right = left and chop(part ^ c1)
-            if right:
-                return ChopNode(part, (left, right))
+        for c1 in sides[(sides & low) == sides].tolist():
+            if order_of(part ^ c1) < k:
+                left = chop(c1)
+                right = left and chop(part ^ c1)
+                if right:
+                    return ChopNode(part, (left, right))
         return None
 
     root = chop(pool.full_mask)

@@ -13,14 +13,15 @@ from functools import cached_property
 
 import numpy as np
 
+from . import canvas
 from .canvas import DEFAULT_PIXEL_CAP, HARD_PIXEL_CAP, CanvasSizeError, WeightedCanvas
 
-# strata read the order table in blocks of 2^12 entries (4 KiB of a uint8
-# table), skipping every block whose minimum order is at least k, and scan
-# the blocks they read in chunks of 2^16 entries, so that no index array
-# spans more than one chunk
-_BLOCK_BITS = 12
-_CHUNK_BITS = 16
+# strata read the block minima in chunks of 2^12 blocks, so that no index
+# array spans more than one chunk
+_CHUNK_BITS = 12
+# a stratum of at most this many bytes is allocated without reading the
+# memory limit: the probe costs more than such an allocation
+_PROBE_BYTES = 1 << 20
 
 
 class SeparationPool:
@@ -39,17 +40,48 @@ class SeparationPool:
         self._strata: dict[int, Stratum] = {}
 
     # -- orders --------------------------------------------------------------
+    # The canvas's order table holds the sides without the top pixel; a side
+    # with it shares its order with its complement, and the pool folds it so.
+
+    @cached_property
+    def _rows(self) -> tuple:
+        """The table's rows as `order_of` and `_below` read them: the flat
+        index of the row of each pattern, the pattern period mask, the
+        rows flattened, the offset bits and their mask."""
+        table = self.wc.all_orders()
+        bits = table.rows.shape[1].bit_length() - 1
+        return ([p << bits for p in table.pattern.tolist()], len(table.pattern) - 1,
+                table.rows.ravel(), bits, (1 << bits) - 1)
+
+    @cached_property
+    def _block_mins(self) -> list[int]:
+        return self.wc.all_orders().block_min.tolist()
 
     def order_of(self, side: int) -> int:
-        # the table holds the sides without the top pixel; a side with it
-        # shares its order with its complement
         if side >> self._top:
             side ^= self.full_mask
-        return int(self.wc.all_orders()[side])
+        row_starts, period, rows, bits, offset = self._rows
+        h = side >> bits
+        return self._block_mins[h] + int(rows[row_starts[h & period] | side & offset])
+
+    def orders_of(self, sides: np.ndarray) -> np.ndarray:
+        """`order_of` of each side of a uint32 array, in the table dtype."""
+        table = self.wc.all_orders()
+        _, period, _, bits, offset = self._rows
+        sides = sides ^ (sides >> self._top) * np.uint32(self.full_mask)
+        blocks = sides >> bits
+        return table.block_min[blocks] + table.rows[table.pattern[blocks & period],
+                                                    sides & offset]
 
     @cached_property
     def max_order(self) -> int:
-        return int(self.wc.all_orders().max())
+        # the pattern is periodic in the block, so each column of the blocks
+        # reshaped to the period reads one row; a column's largest minimum
+        # plus its row's largest entry is an order, so it fits the dtype
+        table = self.wc.all_orders()
+        column_max = np.maximum.reduce(table.block_min.reshape(-1, len(table.pattern)))
+        row_max = np.maximum.reduce(table.rows, axis=1)[table.pattern]
+        return int(np.maximum.reduce(column_max + row_max))
 
     @cached_property
     def pixel_orders(self) -> tuple[int, ...]:
@@ -59,43 +91,61 @@ class SeparationPool:
     # -- strata --------------------------------------------------------------
 
     @cached_property
-    def _block_min(self) -> np.ndarray:
-        """The minimum order of each 2^_BLOCK_BITS-entry block of the order
-        table, in one pass; read by strata of 14 pixels or more."""
-        return self.wc.all_orders().reshape(-1, 1 << _BLOCK_BITS).min(axis=1)
+    def _canonical_offsets(self) -> np.ndarray:
+        """The canonical side of each offset l, as uint32: an odd l holds
+        pixel 0, so its side is l ^ full.  A block's base has no offset
+        bit, so the canonical side of base + l is base ^ this."""
+        offsets = np.arange(self.wc.all_orders().rows.shape[1], dtype=np.uint32)
+        offsets[1::2] ^= self.full_mask
+        return offsets
 
     def _below(self, k: int) -> np.ndarray:
         """The canonical side of every entry of the order table with order
         below k, in table order, as uint32; the first is index 0 (order 0),
-        the pair of 0 and the full side.  Only the runs of blocks whose
-        minimum is below k are read, the first from block 0.  Each run is
-        scanned in chunks twice, to count the hits and then to fill one
-        array of that length, so no index array outlives its chunk."""
-        orders = self.wc.all_orders()
-        if len(orders) <= 1 << _BLOCK_BITS:
-            bounds = [0, len(orders)]      # one block: scan it without an index
-        else:
-            # the block edges of the runs, alternately start and end
-            below = self._block_min < k
-            edges = [0, *(np.flatnonzero(below[1:] != below[:-1]) + 1).tolist()]
-            if below[-1]:
-                edges.append(len(below))
-            bounds = [edge << _BLOCK_BITS for edge in edges]
-        chunks = [(lo, min(lo + (1 << _CHUNK_BITS), hi))
-                  for start, hi in zip(bounds[::2], bounds[1::2])
-                  for lo in range(start, hi, 1 << _CHUNK_BITS)]
-        counts = [np.count_nonzero(orders[lo:hi] < k) for lo, hi in chunks]
-        sides = np.empty(sum(counts), np.uint32)
-        full = np.uint32(self.full_mask)
+        the pair of 0 and the full side.
+
+        Only the blocks whose minimum is below k are read, as their
+        pattern's row against k - 1 - block_min[h] in the table dtype.
+        Each distinct (pattern, threshold) is compared once, to the
+        canonical offsets its blocks share; consecutive blocks that share
+        them form a run.  The sides are counted before one uint32 array is
+        allocated, and a stratum larger than the memory the process may
+        use raises CanvasSizeError instead.  Each block is then filled as
+        its offsets XOR its base, one scalar."""
+        block_min = self.wc.all_orders().block_min
+        row_starts, period, rows, bits, _ = self._rows
+        width = 1 << bits
+        canonical = self._canonical_offsets
+        hits: dict[tuple[int, int], np.ndarray] = {}
+        runs: list[list] = []    # [first block, block count, canonical offsets]
+        last, end = None, -1
+        for lo in range(0, len(block_min), 1 << _CHUNK_BITS):
+            chunk = block_min[lo:lo + (1 << _CHUNK_BITS)]
+            picked = (chunk < k).nonzero()[0]
+            for h, low in zip((picked + lo).tolist(), chunk[picked].tolist()):
+                start = row_starts[h & period]
+                key = (start, k - 1 - low)
+                offsets = hits.get(key)
+                if offsets is None:
+                    offsets = hits[key] = canonical[rows[start:start + width] <= key[1]]
+                if offsets is last and h == end:
+                    runs[-1][1] += 1
+                else:
+                    runs.append([h, 1, offsets])
+                    last = offsets
+                end = h + 1
+        need = 4 * sum(count * len(offsets) for _, count, offsets in runs)
+        memory = canvas._physical_memory() if need > _PROBE_BYTES else None
+        if memory is not None and need > memory:
+            raise CanvasSizeError(
+                f"stratum {k} of {self.wc.npixels} pixels needs {need} bytes, more "
+                f"than the {memory} bytes of memory the process may use")
+        sides = np.empty(need // 4, np.uint32)
         at = 0
-        for (lo, hi), count in zip(chunks, counts):
-            part = sides[at:at + count]
-            part[:] = (orders[lo:hi] < k).nonzero()[0]
-            if lo:
-                part += np.uint32(lo)
-            # an odd index holds pixel 0, so its canonical side is i ^ full
-            part ^= (part & 1) * full
-            at += count
+        for h, count, offsets in runs:
+            for base in range(h * width, (h + count) * width, width):
+                np.bitwise_xor(offsets, base, out=sides[at:at + len(offsets)])
+                at += len(offsets)
         return sides
 
     def stratum(self, k: int) -> "Stratum":

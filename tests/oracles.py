@@ -183,11 +183,14 @@ class ReferenceSearch:
 def full_orders(wc: WeightedCanvas) -> np.ndarray:
     """The order of every subset of the pixel set, indexed by bitmask.
 
-    The canvas's table t holds the subsets without the top pixel; a subset
-    i with it has the order of its complement i ^ full = full - i, which is
-    entry i - 2^(n-1) of t reversed."""
+    The canvas's factored table gives the subsets without the top pixel:
+    subset h * len(row) + l has order block_min[h] + rows[pattern(h)][l].
+    A subset i with the top pixel has the order of its complement
+    i ^ full = full - i, which is entry i - 2^(n-1) of that half reversed."""
     t = wc.all_orders()
-    return np.concatenate((t, t[::-1]))
+    blocks = np.arange(len(t.block_min))
+    half = (t.block_min[:, None] + t.rows[t.pattern[blocks % len(t.pattern)]]).ravel()
+    return np.concatenate((half, half[::-1]))
 
 
 def members(stratum: Stratum) -> frozenset[int]:

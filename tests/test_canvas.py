@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from corpus import (SMALL_PICTURES, lshape3x3, one_pixel, picture, rand4x5,
                     random_weighted, weighted, white2x2)
 from oracles import full_orders
 from tanglescope import (CanvasSizeError, PictureError, WeightedCanvas, analyze,
-                         attach_picture, boundary, build_grid_canvas,
+                         attach_picture, boundary, build_grid_canvas, build_universe,
                          edge_weight, fixture, suggest_N)
 from tanglescope import canvas as canvas_module
 from tanglescope.duality import induced_subcanvas
@@ -113,8 +115,10 @@ def test_n_below_max_delta_rejected():
 
 
 def _assert_table_matches_order(wc):
-    # the half table, and through full_orders every subset it folds onto it
-    assert wc.all_orders().shape == (1 << (wc.npixels - 1),)
+    # the factored half table, and through full_orders every subset it
+    # folds onto it
+    t = wc.all_orders()
+    assert len(t.block_min) * t.rows.shape[1] == 1 << (wc.npixels - 1)
     table = full_orders(wc)
     for a in range(wc.full_mask + 1):
         assert int(table[a]) == wc.order(a)
@@ -138,8 +142,10 @@ def test_order_table_holds_one_order_per_bipartition(builder, N_extra):
     wc = WeightedCanvas.from_picture(pic, suggest_N(pic) + N_extra)
     table = wc.all_orders()
     n = wc.npixels
-    assert len(table) == 1 << (n - 1)
-    assert table.nbytes == table.itemsize << (n - 1)
+    assert len(table.block_min) * table.rows.shape[1] == 1 << (n - 1)
+    assert len(full_orders(wc)) == 1 << n
+    # the rows take no more bytes than one order per bipartition
+    assert table.rows.nbytes <= table.rows.itemsize << (n - 1)
 
 
 @st.composite
@@ -167,12 +173,70 @@ def test_all_orders_matches_scalar_order_on_subcanvases(case):
     _assert_table_matches_order(sub)
 
 
+# shapes of 14 to 16 pixels, whose order tables span 2 to 8 blocks
+_MULTI_BLOCK_SHAPES = [(2, 7), (7, 2), (3, 5), (5, 3), (2, 8), (8, 2), (4, 4)]
+
+
+@st.composite
+def _factored_cases(draw):
+    """A random 1- or 2-bit picture of one order-table block (at most 9
+    pixels) or of several (14 to 16 pixels), with an offset N that puts the
+    table in uint8, uint16 or uint32; half of them replaced by the canvas
+    induced on a random pixel subset, whose edges are a subset of the
+    grid's."""
+    width, height = draw(st.one_of(
+        st.integers(1, 9).flatmap(lambda w: st.tuples(st.just(w), st.integers(1, 9 // w))),
+        st.sampled_from(_MULTI_BLOCK_SHAPES)))
+    n = draw(st.integers(1, 2))
+    values = draw(st.lists(st.integers(0, (1 << n) - 1),
+                           min_size=width * height, max_size=width * height))
+    pic = picture(width, height, values, n=n)
+    extra = draw(st.one_of(st.integers(0, 3), st.integers(300, 20000),
+                           st.integers(70000, 10**8)))
+    wc = WeightedCanvas.from_picture(pic, suggest_N(pic) + extra)
+    if draw(st.booleans()):
+        wc = induced_subcanvas(wc, draw(st.integers(1, wc.full_mask)))
+    return wc
+
+
+def _summed_orders(wc):
+    # wc.order of every subset at once: N - delta summed over the edges
+    # whose endpoints the subset separates
+    sides = np.arange(wc.full_mask + 1, dtype=np.int64)
+    orders = np.zeros(len(sides), np.int64)
+    for (p, q), d in zip(wc.canvas.edges, wc.delta):
+        orders += (wc.N - d) * ((sides >> p ^ sides >> q) & 1)
+    return orders
+
+
+@settings(deadline=None, max_examples=60)
+@given(_factored_cases(), st.lists(st.integers(0, (1 << 16) - 1), min_size=40, max_size=40))
+def test_factored_orders_match_scalar_order(wc, samples):
+    # block_min[h] + rows[pattern(h)][l] is the order of side h * 2^b + l
+    table = wc.all_orders()
+    orders = full_orders(wc)
+    total = sum(wc.N - d for d in wc.delta)
+    assert orders.dtype == table.block_min.dtype == np.min_scalar_type(total)
+    assert np.array_equal(orders.astype(np.int64), _summed_orders(wc))
+    pool = build_universe(wc)
+    for side in samples:
+        side &= wc.full_mask
+        assert int(orders[side]) == wc.order(side) == pool.order_of(side)
+    sides = np.arange(wc.full_mask + 1, dtype=np.uint32)
+    assert np.array_equal(pool.orders_of(sides), orders)
+    # block_min is each block's minimum, and max_order the largest order
+    half = orders[:len(orders) // 2]
+    assert np.array_equal(table.block_min, half.reshape(len(table.block_min), -1).min(axis=1))
+    assert table.rows.min(axis=1).tolist() == [0] * len(table.rows)
+    assert pool.max_order == int(orders.max())
+
+
 def test_all_orders_large_offset():
     # orders above 2^16 must not wrap
     wc = WeightedCanvas.from_picture(fixture("mono2x2"), 40000)
     assert wc.order(0b0001) == 79998
     _assert_table_matches_order(wc)
-    assert int(wc.all_orders().max()) == max(wc.order(a) for a in range(16))
+    assert int(full_orders(wc).max()) == max(wc.order(a) for a in range(16))
     # the largest total edge weight that fits in uint32 is still exact
     two = WeightedCanvas.from_picture(picture(2, 1, [0, 0]), (1 << 32) - 1)
     assert full_orders(two).tolist() == [0, (1 << 32) - 1, (1 << 32) - 1, 0]
@@ -200,31 +264,40 @@ def test_order_table_width_boundaries(name, N, total, dtype):
     pic = picture(2, 1, [0, 0]) if name == "2x1" else fixture(name)
     wc = WeightedCanvas.from_picture(pic, N)
     assert sum(N - d for d in wc.delta) == total
-    assert wc.all_orders().dtype == dtype
+    assert full_orders(wc).dtype == dtype
     assert full_orders(wc).tolist() == [wc.order(a) for a in range(wc.full_mask + 1)]
 
 
 def test_order_table_over_physical_memory_is_refused(monkeypatch):
     # the memory probe is patched, so nothing near the limit is allocated
-    wc = weighted(white2x2)   # 4 pixels, total weight 0: a 1 * 2^3 = 8-byte table
-    monkeypatch.setattr(canvas_module, "_physical_memory", lambda: 7)
-    with pytest.raises(CanvasSizeError, match="needs 8 bytes"):
+    wc = weighted(white2x2)   # 4 pixels, total weight 0: one uint8 block of
+    # 2^3 orders, its block minimum and a one-byte pattern index: 10 bytes
+    monkeypatch.setattr(canvas_module, "_physical_memory", lambda: 9)
+    with pytest.raises(CanvasSizeError, match="needs 10 bytes"):
         wc.all_orders()
-    monkeypatch.setattr(canvas_module, "_physical_memory", lambda: 8)
+    monkeypatch.setattr(canvas_module, "_physical_memory", lambda: 10)
     assert full_orders(wc).tolist() == [wc.order(a) for a in range(16)]
-    # a total weight of 4 * 70000 needs uint32: a 4 * 2^3 = 32-byte table
+    # a total weight of 4 * 70000 needs uint32: 4 * 9 + 1 = 37 bytes
     wide = WeightedCanvas.from_picture(white2x2(), 70000)
-    monkeypatch.setattr(canvas_module, "_physical_memory", lambda: 31)
-    with pytest.raises(CanvasSizeError, match="needs 32 bytes"):
+    monkeypatch.setattr(canvas_module, "_physical_memory", lambda: 36)
+    with pytest.raises(CanvasSizeError, match="needs 37 bytes"):
         wide.all_orders()
-    monkeypatch.setattr(canvas_module, "_physical_memory", lambda: 32)
+    monkeypatch.setattr(canvas_module, "_physical_memory", lambda: 37)
     assert full_orders(wide).tolist() == [wide.order(a) for a in range(16)]
-    # 32 flat pixels at the hard cap would ask for a 2 GiB uint8 table
+    # 32 flat pixels at the hard cap: a factored table of 2^19 block minima
+    # and one row, but stratum 1 would hold 2^31 sides, 8 GiB of uint32.
+    # It is refused after counting, before anything near that is allocated
     big = WeightedCanvas.from_picture(picture(8, 4, [0] * 32, pixel_cap=32))
-    monkeypatch.setattr(canvas_module, "_physical_memory", lambda: (2 << 30) - 1)
-    with pytest.raises(CanvasSizeError, match=f"needs {2 << 30} bytes"):
-        analyze(big, pixel_cap=32)
-    assert not big._order_cache
+    monkeypatch.setattr(canvas_module, "_physical_memory", lambda: (8 << 30) - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CanvasSizeError, match=f"stratum 1 .* needs {8 << 30} bytes"):
+            analyze(big, pixel_cap=32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert len(big._order_cache["orders"].block_min) == 1 << 19
 
 
 def test_physical_memory_probe():
@@ -241,11 +314,11 @@ def test_cgroup_memory_limit_is_read(monkeypatch, tmp_path):
     if host is not None:
         limit.write_text(f"{2 * host}\n")
         assert canvas_module._physical_memory() == host
-    wc = weighted(white2x2)   # an 8-byte uint8 order table
-    limit.write_text("7\n")
-    with pytest.raises(CanvasSizeError, match="needs 8 bytes"):
+    wc = weighted(white2x2)   # a 10-byte uint8 order table
+    limit.write_text("9\n")
+    with pytest.raises(CanvasSizeError, match="needs 10 bytes"):
         wc.all_orders()
-    limit.write_text("8\n")
+    limit.write_text("10\n")
     assert full_orders(wc).tolist() == [wc.order(a) for a in range(16)]
     # a path that cannot be read as a file leaves the host's figure
     monkeypatch.setattr(canvas_module, "_CGROUP_MEMORY_MAX", str(tmp_path))

@@ -3,6 +3,8 @@ from __future__ import annotations
 import dataclasses
 import functools
 import gc
+import hashlib
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -17,7 +19,7 @@ import tanglescope.profiles as profiles_module
 import tanglescope.report as report_module
 from corpus import (TWELVE_PIXEL_PICTURES, defect4x4, dot4x5, lshape3x3, one_pixel,
                     picture, random_weighted, weighted)
-from oracles import (ReferenceSearch, StarSetF, _consistent, all_orientations,
+from oracles import (ReferenceSearch, StarSetF, _consistent, all_orientations, full_orders,
                      is_principal, members, naive_fprime_stars, naive_tangles,
                      orientation_of)
 from tanglescope import (Profile, WeightedCanvas, analyze, build_chop_tree,
@@ -341,7 +343,7 @@ def test_flat5x5_stratum_is_a_uint32_array(monkeypatch):
                         lambda wc, cap: pools.append(build_universe(wc, cap)) or pools[-1])
     wc = WeightedCanvas.from_picture(picture(5, 5, [0] * 25, pixel_cap=25))
     report, ok = analyze(wc, pixel_cap=25)
-    assert wc.all_orders().dtype == np.uint8
+    assert full_orders(wc).dtype == np.uint8
     (pool,) = pools
     stratum = pool.stratum(1)
     assert stratum.pairs.dtype == np.uint32
@@ -372,6 +374,29 @@ def test_chop_tree_mono(wc_mono, pool_mono):
     assert tree is not None
     assert verify_chop_tree(tree, wc_mono, pool_mono).ok
     assert build_chop_tree(wc_mono, 2, pool_mono) is None
+
+
+def test_chop_trees_are_unchanged():
+    # 36 seeded 9- to 16-px pictures, one order-table block or two to eight,
+    # and every level whose stratum the duality report would chop: 540
+    # (picture, k) cases, 400 of them with a tree.  The digest of their
+    # trees was recorded before the order table was factored, and the
+    # trees must not change with the way their orders are read
+    rng = random.Random(2020)
+    shapes = [(3, 3), (3, 4), (4, 3), (2, 6), (4, 4), (2, 7), (7, 2), (3, 5), (5, 3)]
+    digest = hashlib.sha256()
+    for i in range(36):
+        width, height = shapes[i % len(shapes)]
+        n = 1 + i % 2
+        pic = picture(width, height, [rng.randrange(1 << n) for _ in range(width * height)],
+                      n=n)
+        wc = WeightedCanvas.from_picture(pic)
+        pool = build_universe(wc)
+        for k in range(1, pool.max_order + 2):
+            if len(pool.stratum(k).pairs) <= duality.CHOP_TREE_PAIR_LIMIT:
+                digest.update(repr(build_chop_tree(wc, k, pool)).encode())
+    assert digest.hexdigest() == \
+        "c32d463626ea72835b35edcb538ba41800efb17179e834d94d18e9e5131f3f5f"
 
 
 @settings(deadline=None, max_examples=40)

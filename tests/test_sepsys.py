@@ -5,14 +5,15 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corpus import one_pixel, picture, random_weighted, weighted
 from oracles import full_orders, members
 from tanglescope import WeightedCanvas, build_universe, suggest_N
-from tanglescope.sepsys import (_BLOCK_BITS, consistent_sides, laminar_sides, nested_sides,
-                                star_sides, void_sides)
+from tanglescope.canvas import _BLOCK_BITS
+from tanglescope.sepsys import (consistent_sides, laminar_sides, nested_sides, star_sides,
+                                void_sides)
 
 
 def test_inverse(pool_mono):
@@ -134,7 +135,7 @@ def test_strata_match_brute_force_at_every_width(wc):
     full = pool.full_mask
     orders = [wc.order(s) for s in range(full + 1)]
     total = sum(wc.N - d for d in wc.delta)
-    assert wc.all_orders().itemsize == (1 if total < 1 << 8 else 2 if total < 1 << 16 else 4)
+    assert full_orders(wc).itemsize == (1 if total < 1 << 8 else 2 if total < 1 << 16 else 4)
     # strata change only where k passes an order
     for k in sorted({1} | {o + 1 for o in orders}):
         stratum = pool.stratum(k)
@@ -160,21 +161,32 @@ def _multi_block_weighted(draw, dtype):
                            min_size=width * height, max_size=width * height))
     pic = picture(width, height, values, n=n)
     wc = WeightedCanvas.from_picture(pic, suggest_N(pic) + draw(_EXTRA_N[dtype]))
-    assert wc.all_orders().dtype == dtype
+    assert full_orders(wc).dtype == dtype
     return wc
 
 
 @pytest.mark.parametrize("dtype", list(_EXTRA_N), ids=lambda d: d.__name__)
 def test_multi_block_strata_match_table_scan(dtype):
     levels = set()
+    # a drawn picture may have every order 0 (a uniform uint8 one), whose
+    # one stratum reads every block; these two examples cover both cases:
+    # the flat one reads every block at its top level, and the other one
+    # skips the blocks whose minimum is at least k at its low levels.  At
+    # uint8 its stratum 1 also reads two blocks of one row and threshold
+    # with a skipped block between them, which must not fill as a run
+    extra = {np.uint8: 0, np.uint16: 300, np.uint32: 70000}[dtype]
+    flat = picture(5, 3, [0] * 15)
+    gapped = picture(5, 3, [1, 1, 1, 1, 1, 1, 0, 1, 1, 1, 1, 1, 1, 0, 1])
 
     @settings(deadline=None, max_examples=3)
     @given(_multi_block_weighted(dtype))
+    @example(WeightedCanvas.from_picture(flat, suggest_N(flat) + extra))
+    @example(WeightedCanvas.from_picture(gapped, suggest_N(gapped) + extra))
     def check(wc):
         pool = build_universe(wc)
         orders = full_orders(wc)
         assert pool.max_order == int(orders.max())
-        block_min = wc.all_orders().reshape(-1, 1 << _BLOCK_BITS).min(axis=1)
+        block_min = orders[:len(orders) // 2].reshape(-1, 1 << _BLOCK_BITS).min(axis=1)
         assert len(block_min) >= 2
         evens = np.arange(2, len(orders), 2)   # canonical sides: pixel 0 outside
         # strata change only where k passes an order
