@@ -314,6 +314,13 @@ def max_supported_resolution(wc: WeightedCanvas, subset: int | None = None,
                              pixel_cap: int = DEFAULT_PIXEL_CAP) -> int:
     """The largest k admitting an unfocused k-profile, found via F-tangles.
 
+    It is the carving width of the pixel graph under the edge weights
+    N - delta (Seymour and Thomas, *Call routing and the ratcatcher*,
+    Combinatorica 1994).  A chop tree at k is a carving, a recursive split
+    down to single pixels, whose every part has order below k, so a tree
+    exists exactly when the width is below k, and by the duality an
+    F-tangle exists exactly when k is at most the width.
+
     The answer is at least m = max_p order({p}): at every k <= m the
     principal orientation toward a pixel of order m is an F-tangle (see
     `find_f_tangle`), and no chop tree exists, since that pixel's leaf

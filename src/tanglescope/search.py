@@ -1,8 +1,8 @@
 """Backtracking searches for consistent orientations of a stratum.
 
 One engine serves F-tangle enumeration and existence; it searches
-F-tangles only.  It keeps an explicit assignment per separation pair and
-propagates to a fixed point after every decision:
+F-tangles only.  It assigns one side per separation pair and propagates
+to a fixed point after every decision:
 
 - consistency: a chosen side forces every stratum superset's pair toward
   the superset (the other orientation would be disjoint from a chosen
@@ -24,23 +24,29 @@ leaf failing both is dropped and counted (`dropped`), and a find-one
 search goes on past it.  A certified leaf is an F-tangle, as
 single-pixel sides were rejected on assignment.
 
-Forcing runs on Python-int bitsets over the pair indices.  One column per
-pixel p, built once per search from the pairs' bit matrix, has bit i set
-iff p lies in the canonical side of pair i.  The pairs whose canonical
-side contains a side s are then the AND of the columns of the pixels of
-s, and the pairs whose other side contains s the AND of the complemented
-columns; the two masks are computed when needed, not kept.
-With `as_c` and `as_d` the pairs whose canonical or other side is chosen:
+The assignment is two Python-int bitsets over the pair indices and
+nothing else: `as_c` holds the pairs whose canonical side (the one
+without pixel 0) is chosen, `as_d` those whose other side is.  A side is
+looked up by its canonical side.  Each decision frame keeps the
+(as_c, as_d) it started from, and backtracking restores that pair, so an
+undo costs nothing per assignment.  A leaf is read from `as_c` in one
+numpy pass over the pairs.
 
-- superset forcing takes the two superset masks of s, restricted to the
-  free pairs;
+Forcing runs on the same bitsets.  One column per pixel p, built once per
+search from the pairs' bit matrix, has bit i set iff p lies in the
+canonical side of pair i.  The pairs whose canonical side contains a side
+s are then the AND of the columns of the pixels of s, and the pairs whose
+other side contains s the AND of the complemented columns; the two masks
+are computed when needed, not kept.  For a side s that runs its checks:
+
 - the chosen sides co-pointing with s are the chosen supersets of s*,
   `(sup_c(s*) & as_c) | (sup_d(s*) & as_d)`, and each one's intersection
-  with s is looked up by side;
-- a side forced as a superset of s skips its own superset forcing, as
-  its supersets are supersets of s and the free ones were queued with
-  it, and skips its co-pointing check, leaving the stars it would catch
-  to the leaf check.  Only decided sides and forced intersections run it;
+  with s is looked up by side and queued while its pair is free;
+- superset forcing then assigns the free supersets of s at once, with
+  `as_c |= sup_c(s) & free` and `as_d |= sup_d(s) & free`.  These sides
+  run no checks of their own: their supersets are supersets of s, and
+  the stars their co-pointing check would catch are left to the leaf
+  check.  Only decided sides and forced intersections run the checks;
 - the next decision is the lowest free pair at or after the last one.
 
 Weaker forcing changes neither the kept leaves nor their order.  When
@@ -105,11 +111,6 @@ class SearchDefect(RuntimeError):
     """Internal invariant failure in an exhaustive search."""
 
 
-def _is_full_universe(stratum: Stratum) -> bool:
-    npix = stratum.full_mask.bit_count()
-    return len(stratum.pairs) == (1 << (npix - 1)) - 1
-
-
 def principal_sides(stratum: Stratum, pixel: int) -> frozenset[int]:
     """The chosen sides of the principal orientation toward `pixel`: the
     side containing it of every pair, and the full side."""
@@ -125,12 +126,16 @@ def _focus_pixels(stratum: Stratum) -> list[int]:
     return [p for p, order in enumerate(stratum.pool.pixel_orders) if order < stratum.k]
 
 
-def _bits(mask: int):
+def _bits(mask: int) -> list[int]:
     """The indices of the set bits of `mask`, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    return np.flatnonzero(_bit_array(mask, mask.bit_length())).tolist()
+
+
+def _bit_array(mask: int, count: int) -> np.ndarray:
+    """Bits 0 .. count - 1 of `mask`, lowest first, one uint8 each: the
+    mask's bytes unpacked in one numpy pass."""
+    raw = np.frombuffer(mask.to_bytes((count + 7) // 8, "little"), np.uint8)
+    return np.unpackbits(raw, count=count, bitorder="little")
 
 
 def _shares_pixel_certificate(stratum: Stratum, chosen: frozenset[int]) -> bool:
@@ -172,21 +177,18 @@ class _AssignmentSearch:
             stratum.pairs.tolist(),
             key=lambda c: (min(c.bit_count(), (c ^ self.full).bit_count()), c),
         )
-        self.index: dict[int, int] = {}
-        for i, c in enumerate(self.pairs):
-            self.index[c] = i
-            self.index[c ^ self.full] = i
-        self.status: list[int | None] = [None] * len(self.pairs)
-        self.chosen: list[int] = []
-        # bitsets over pair indices: the pairs whose canonical side (as_c)
-        # or whose other side (as_d) is chosen
+        # pair index by canonical side, the side without pixel 0
+        self.index = {c: i for i, c in enumerate(self.pairs)}
+        # the whole assignment: the pairs whose canonical side (as_c) or
+        # whose other side (as_d) is chosen
         self.all = (1 << len(self.pairs)) - 1
         self.as_c = 0
         self.as_d = 0
         # pixel columns: bit i of incl[p] is set iff pixel p is in pairs[i].
         # Sides fit in 32 bits (HARD_PIXEL_CAP), so transposing the pairs'
         # little-endian bit matrix gives every column at once
-        sides = np.array(self.pairs, dtype="<u4").view(np.uint8).reshape(-1, 4)
+        self.pair_array = np.array(self.pairs, dtype="<u4")
+        sides = self.pair_array.view(np.uint8).reshape(-1, 4)
         columns = np.packbits(np.unpackbits(sides, axis=1, bitorder="little").T,
                               axis=1, bitorder="little")
         self.incl = [int.from_bytes(col.tobytes(), "little")
@@ -197,78 +199,73 @@ class _AssignmentSearch:
         """The pairs whose canonical side contains `side`, and those whose
         other side does, as bitsets."""
         sup_c = sup_d = self.all
-        for p in _bits(side):
-            sup_c &= self.incl[p]
-            sup_d &= self.excl[p]
+        for p in range(side.bit_length()):
+            if side >> p & 1:
+                sup_c &= self.incl[p]
+                sup_d &= self.excl[p]
         return sup_c, sup_d
 
-    def _propagate(self, side: int) -> int | None:
-        """Assign `side` and close under forcing.  Returns the number of
-        assignments made, or None on conflict (caller rolls back using
-        the length of self.chosen recorded beforehand)."""
-        full, pairs, index, status = self.full, self.pairs, self.index, self.status
-        made = 0
-        # (side, whether it runs its checks: False when forced as a superset)
-        queue = [(side, True)]
+    def _chosen(self, i: int) -> int | None:
+        """The chosen side of pair i, or None while it is free."""
+        if self.as_c >> i & 1:
+            return self.pairs[i]
+        if self.as_d >> i & 1:
+            return self.pairs[i] ^ self.full
+        return None
+
+    def _propagate(self, side: int) -> bool:
+        """Assign `side` and close under forcing.  False on conflict, with
+        the assignment left half made: the caller restores it."""
+        full, pairs, index = self.full, self.pairs, self.index
+        queue = [side]
         while queue:
-            s, scan = queue.pop()
+            s = queue.pop()
             if s.bit_count() == 1:
-                return None  # single-pixel star
-            i = index[s]
-            cur = status[i]
+                return False  # single-pixel star
+            i = index[s ^ full if s & 1 else s]
+            cur = self._chosen(i)
             if cur is not None:
                 if cur != s:
-                    return None
+                    return False
                 continue
-            status[i] = s
-            self.chosen.append(s)
-            if s == pairs[i]:
-                self.as_c |= 1 << i
-            else:
+            if s & 1:
                 self.as_d |= 1 << i
-            made += 1
-            if not scan:
-                continue  # the leaf check catches the stars skipped here
+            else:
+                self.as_c |= 1 << i
             # forced intersections with the chosen sides y co-pointing with
             # s (y | s == full): exactly the chosen supersets of s*.  Sides
             # of distinct pairs that co-point always meet
             sup_c, sup_d = self._supersets(s ^ full)
             for py in _bits((sup_c & self.as_c) | (sup_d & self.as_d)):
-                j = status[py] & s
-                pj = index.get(j)
+                j = (pairs[py] if self.as_c >> py & 1 else pairs[py] ^ full) & s
+                pj = index.get(j ^ full if j & 1 else j)
                 if pj is not None:
-                    if status[pj] is None:
-                        queue.append((j, True))
-                    elif status[pj] != j:
-                        return None  # {s, y, j*} fully present
-            # consistency: every stratum superset of s is forced
+                    cur = self._chosen(pj)
+                    if cur is None:
+                        queue.append(j)
+                    elif cur != j:
+                        return False  # {s, y, j*} fully present
+            # consistency: every stratum superset of s is forced, with no
+            # checks of its own (the leaf check catches the stars skipped)
             sup_c, sup_d = self._supersets(s)
             free = self.all ^ (self.as_c | self.as_d)
-            queue.extend((pairs[j], False) for j in _bits(sup_c & free))
-            queue.extend((pairs[j] ^ full, False) for j in _bits(sup_d & free))
-        return made
-
-    def _rollback(self, count: int) -> None:
-        for _ in range(count):
-            s = self.chosen.pop()
-            i = self.index[s]
-            self.status[i] = None
-            if s == self.pairs[i]:
-                self.as_c ^= 1 << i
-            else:
-                self.as_d ^= 1 << i
+            self.as_c |= sup_c & free
+            self.as_d |= sup_d & free
+        return True
 
     def run(self, find_one: bool = False) -> list[frozenset[int]]:
         results: list[frozenset[int]] = []
-        # decision frames [pair index, sides left to try (the larger side
-        # is tried first), assignments made by the side being tried]
-        stack: list[list] = []
+        # decision frames (pair index, sides left to try (the larger side is
+        # tried first), the assignment before the pair was decided)
+        stack: list[tuple] = []
         start = 0
         while True:
             # the lowest free pair at or after start
             free = (self.all ^ (self.as_c | self.as_d)) >> start
             if not free:
-                leaf = frozenset(self.chosen) | {self.full}
+                chosen = np.where(_bit_array(self.as_c, len(self.pairs)),
+                                  self.pair_array, self.pair_array ^ self.full)
+                leaf = frozenset(chosen.tolist()) | {self.full}
                 if _certified_leaf(self.stratum, leaf):
                     results.append(leaf)
                     if find_one:
@@ -280,23 +277,15 @@ class _AssignmentSearch:
                 c = self.pairs[i]
                 d = c ^ self.full
                 sides = [c, d] if d.bit_count() >= c.bit_count() else [d, c]
-                stack.append([i, sides, 0])
+                stack.append((i, sides, self.as_c, self.as_d))
             # backtrack to the deepest frame with a side left that propagates
             while stack:
-                frame = stack[-1]
-                self._rollback(frame[2])
-                frame[2] = 0
-                if not frame[1]:
+                i, sides, self.as_c, self.as_d = stack[-1]
+                if not sides:
                     stack.pop()
-                    continue
-                before = len(self.chosen)
-                made = self._propagate(frame[1].pop())
-                if made is None:
-                    self._rollback(len(self.chosen) - before)
-                    continue
-                frame[2] = made
-                start = frame[0] + 1
-                break
+                elif self._propagate(sides.pop()):
+                    start = i + 1
+                    break
             else:
                 return results
 
@@ -304,10 +293,11 @@ class _AssignmentSearch:
 def _f_tangles(stratum: Stratum, find_one: bool = False) -> list[frozenset[int]]:
     """The consistent orientations avoiding void <=3-stars and single pixels
     (all of them, or the first found)."""
-    if _is_full_universe(stratum):
-        # no avoiding orientation exists over the full universe: single
-        # pixels force every inverse of one in, and a minimal member m
-        # with p in m then closes the void 3-star {m, {p}*, (m minus p)*}
+    if stratum.k > stratum.pool.max_order:
+        # every bipartition has order below k, and no avoiding orientation
+        # exists over this full universe: single pixels force every inverse
+        # of one in, and a minimal member m with p in m then closes the
+        # void 3-star {m, {p}*, (m minus p)*}
         return []
     return _AssignmentSearch(stratum).run(find_one)
 

@@ -80,6 +80,14 @@ def defect4x4():
                           for r, c in product(range(4), range(4))])
 
 
+def defect5x4():
+    # the same defect on a 5x4 checkerboard, pixel 6 flipped: levels 1-4
+    # have 32,767 to 491,519 pairs, each with one F-tangle, the principal
+    # one toward pixel 6
+    return picture(5, 4, [(r + c) % 2 ^ (r * 5 + c == 6)
+                          for r, c in product(range(4), range(5))])
+
+
 SMALL_PICTURES = {
     "mono2x2": lambda: fixture("mono2x2"),
     "white2x2": white2x2,

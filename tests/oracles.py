@@ -17,6 +17,10 @@ The second part holds definitions that no analysis path needs: the order
 of every subset as one table, every side of a stratum as a set, the
 standard star set F as an explicit set, principality, induction,
 equivalence of profiles and the complete profile levels.
+
+`carving_width` stands apart from both: the weighted carving width by a
+subset recursion, with its own edge-sum orders, against which the tests
+check the resolution and the duality verdicts.
 """
 from __future__ import annotations
 
@@ -291,3 +295,33 @@ def profile_levels(pool: SeparationPool) -> dict[int, tuple[Profile, ...]]:
         if all(is_focused(p) for p in profs):
             break
     return levels
+
+
+def carving_width(wc: WeightedCanvas) -> int:
+    """The carving width of the pixel graph under the edge weights N - delta
+    (Seymour and Thomas, *Call routing and the ratcatcher*, 1994): the least
+    w such that the pixel set splits into two parts, and each part of more
+    than one pixel again into two, down to single pixels, with every part
+    of order at most w.  w({p}) = order({p}), and w(S) is the minimum over
+    splits S = A + B of max(order(A), order(B), w(A), w(B)).  A 3^n
+    recursion over the subsets, with each order summed over the edges."""
+    n = wc.npixels
+    weighted_edges = [((1 << p) | (1 << q), wc.N - d)
+                      for (p, q), d in zip(wc.canvas.edges, wc.delta)]
+    order = [sum(w for ends, w in weighted_edges if (s & ends).bit_count() == 1)
+             for s in range(1 << n)]
+    width = list(order)
+    for s in range(1, 1 << n):
+        if s & (s - 1) == 0:
+            continue
+        low = s & -s
+        best = None
+        a = (s - 1) & s
+        while a:
+            if a & low:  # each split once: A holds the lowest pixel of S
+                b = s ^ a
+                split = max(order[a], order[b], width[a], width[b])
+                best = split if best is None else min(best, split)
+            a = (a - 1) & s
+        width[s] = best
+    return width[(1 << n) - 1]

@@ -13,15 +13,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tanglescope.duality as duality
 import tanglescope.profiles as profiles_module
 import tanglescope.report as report_module
 from corpus import (TWELVE_PIXEL_PICTURES, defect4x4, dot4x5, lshape3x3, one_pixel,
                     picture, random_weighted, weighted)
-from oracles import (ReferenceSearch, StarSetF, _consistent, all_orientations, full_orders,
-                     is_principal, members, naive_fprime_stars, naive_tangles,
-                     orientation_of)
+from oracles import (ReferenceSearch, StarSetF, _consistent, all_orientations,
+                     carving_width, full_orders, is_principal, members,
+                     naive_fprime_stars, naive_tangles, orientation_of)
 from tanglescope import (Profile, WeightedCanvas, analyze, build_chop_tree,
                          build_universe, enumerate_profiles, find_f_tangle, is_focused,
                          is_profile, max_supported_resolution, verify_chop_tree,
@@ -638,3 +639,19 @@ def test_chop_tree_monotone_in_k(wc_mono, pool_mono):
         if found:
             assert tree is not None
         found = found or tree is not None
+
+
+@settings(deadline=None, max_examples=100)
+@given(random_weighted(max_pixels=10), st.sets(st.integers(0, 9), max_size=3))
+def test_resolution_is_the_weighted_carving_width(wc, removed):
+    # Seymour and Thomas's carving width, computed with no code of the
+    # package: a chop tree at k is a carving of width below k, so by the
+    # duality the F-tangles lie exactly at k <= width.  Induced subcanvases
+    # of up to three pixels fewer are included, disconnected ones too
+    wc = induced_subcanvas(wc, wc.full_mask & ~sum(1 << p for p in removed) or wc.full_mask)
+    width = carving_width(wc)
+    assert max_supported_resolution(wc) == width
+    pool = build_universe(wc)
+    for k in range(1, pool.max_order + 2):
+        assert (verify_duality(pool, k).f_tangle is not None) == (k <= width)
+        assert (build_chop_tree(wc, k, pool) is not None) == (width < k)

@@ -1,7 +1,10 @@
 """The bitset search engine against the frozen scan-based reference, on
-strata of more than 64 pairs, where every bitset spans several words, and
-the engine's handling of a leaf that fails its leaf check."""
+strata of more than 64 pairs, where every bitset spans several words, its
+bit reader against a plain peel loop, and the engine's handling of a leaf
+that fails its leaf check."""
 from __future__ import annotations
+
+import random
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -10,7 +13,7 @@ import tanglescope.search as search_module
 from corpus import lshape3x3, picture, rand4x5, weighted
 from oracles import ReferenceSearch, members
 from tanglescope import WeightedCanvas, build_universe, suggest_N
-from tanglescope.search import (_AssignmentSearch, _certified_leaf, _is_full_universe,
+from tanglescope.search import (_AssignmentSearch, _bits, _certified_leaf,
                                 find_star_avoiding_orientation)
 
 # more pairs than one 64-bit word; the upper bound keeps the reference cheap
@@ -36,10 +39,28 @@ def test_engine_leaves_equal_reference_on_multiword_strata(wc):
     stratum = next((s for s in map(pool.stratum, range(1, pool.max_order + 2))
                     if len(s.pairs) >= _MIN_PAIRS), None)
     assume(stratum is not None and len(stratum.pairs) <= _MAX_PAIRS
-           and not _is_full_universe(stratum))
+           and stratum.k <= pool.max_order)
     for find_one in (True, False):
         leaves = _AssignmentSearch(stratum).run(find_one)
         assert leaves == ReferenceSearch(stratum, unfocused=True).run(find_one)
+
+
+def _peeled_bits(mask: int) -> list[int]:
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def test_bits_match_a_peel_loop():
+    rng = random.Random(21)
+    masks = [0, 1, (1 << 63) | 1, (1 << 64) - 1, 1 << 64, (1 << 65) - 1, 1 << 2000]
+    for width in (8, 63, 64, 65, 129, 2000, 2048):
+        masks += [rng.getrandbits(width) for _ in range(20)]
+    for mask in masks:
+        assert _bits(mask) == _peeled_bits(mask)
 
 
 def test_superset_masks_match_a_direct_scan():
