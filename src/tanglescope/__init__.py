@@ -8,9 +8,9 @@ from .duality import (ChopTree, build_chop_tree, find_f_tangle,
                       verify_chop_tree, verify_duality)
 from .fixtures import FIXTURE_NAMES, fixture, fixture_canvas
 from .io import format_grid, format_pgm, load_picture, parse_grid, parse_pgm
-from .profiles import (Orientation, Profile, Region, distinguishable,
-                       distinguishes, enumerate_profiles, is_focused, is_profile,
-                       refines, regions, restrict)
+from .profiles import (Profile, Region, distinguishable, distinguishes,
+                       enumerate_profiles, is_focused, is_profile, refines,
+                       regions, restrict)
 from .render import render_mask, render_svg
 from .report import analyze, decode_report, encode_report
 from .sepsys import SeparationPool, Stratum, build_universe

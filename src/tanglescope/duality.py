@@ -8,9 +8,8 @@ from functools import cache
 import numpy as np
 
 from .canvas import DEFAULT_PIXEL_CAP, Canvas, Picture, WeightedCanvas
-from .profiles import Profile, is_focused, is_profile
-from .search import (SearchDefect, _shares_pixel_certificate,
-                     find_star_avoiding_orientation, principal_sides)
+from .profiles import Profile, is_focused, is_profile, principal
+from .search import SearchDefect, _shares_pixel_certificate, find_star_avoiding_orientation
 from .sepsys import (SeparationPool, Stratum, build_universe, laminar_sides,
                      star_sides, void_sides)
 
@@ -64,7 +63,7 @@ def find_f_tangle(stratum: Stratum) -> Profile | None:
     heavy = [p for p, order in enumerate(pool.pixel_orders) if order >= k]
     listed = pool._f_tangles.get(k)
     if heavy:
-        hit = Profile(stratum, principal_sides(stratum, heavy[0]))
+        hit = principal(stratum, heavy[0])
     elif listed is not None:
         hit = listed[0] if listed else None
     else:
@@ -75,9 +74,8 @@ def find_f_tangle(stratum: Stratum) -> Profile | None:
                 raise SearchDefect(f"the chop tree at k={k} failed verification")
             pool._f_tangles[k] = ()
             return None
-        chosen = find_star_avoiding_orientation(stratum)
-        hit = None if chosen is None else Profile(stratum, chosen)
-    if hit is None or _shares_pixel_certificate(hit.stratum, hit.chosen):
+        hit = find_star_avoiding_orientation(stratum)
+    if hit is None or _shares_pixel_certificate(hit):
         return hit
     # this covers F-avoidance: single pixels fail as focused, and a void
     # <=3-star of an orientation is {x, y, (x & y)*}, a profile violation
@@ -132,7 +130,7 @@ def build_chop_tree(wc: WeightedCanvas, k: int,
     the candidates c1 are the stratum sides inside part less that pixel,
     read with numpy off the array of every stratum side.  It walks them
     in (order, side) order, the canonical sides of the stratum's pairs,
-    which it sorts so with one vectorised `pool.orders_of` read, and then
+    which it sorts so by the stratum's `orders`, and then
     their complements in the same order.  A candidate passes when
     c2 = part ^ c1 has order below k, read with `pool.order_of` only as
     the walk reaches it, and the first split whose halves both chop is
@@ -150,8 +148,8 @@ def build_chop_tree(wc: WeightedCanvas, k: int,
         return None
     full = pool.full_mask
     order_of = pool.order_of
-    pairs = pool.stratum(k).pairs
-    pairs = pairs[np.lexsort((pairs, pool.orders_of(pairs)))]
+    stratum = pool.stratum(k)
+    pairs = stratum.pairs[np.lexsort((stratum.pairs, stratum.orders))]
     sides = np.concatenate((pairs, pairs ^ full))
 
     @cache

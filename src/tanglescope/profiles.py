@@ -1,23 +1,50 @@
-"""Profiles of strata, their enumeration, equivalence classes and regions."""
+"""Profiles of strata, their enumeration, equivalence classes and regions.
+
+A profile is stored as its stratum and one bit per pair, the orientation
+of a separation system in Diestel, Hundertmark and Lemanczyk, *Profiles
+of separations* (Combinatorica 2019): bit i is true where the profile
+chooses the canonical side of `stratum.pairs[i]`, the side without pixel
+0.  Restriction, the principal orientations and the canonical order are
+array operations on the bits; the chosen sides as a set (`chosen`) are
+built only for the set readers: the definition-level `is_profile` and
+`is_focused`, and the tree-set code."""
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import count
 
-from .search import enumerate_profile_orientations, principal_sides
+import numpy as np
+
+from .search import enumerate_profile_orientations
 from .sepsys import SeparationPool, Stratum
 
 
 @dataclass(frozen=True)
-class Orientation:
-    """One chosen orientation per separation of a stratum.
+class Profile:
+    """A consistent orientation satisfying the profile condition, stored
+    as `bits`: a read-only bool array, true where the canonical side of
+    the pair `stratum.pairs[i]` is chosen; the full side, the forced
+    orientation of the degenerate pair, is always chosen.  Profiles are
+    equal, and hash equally, when they lie on the same stratum (strata
+    compare by identity) and the bytes of their bits are equal.
 
-    `chosen` holds the chosen side of every nondegenerate pair plus the
-    full pixel set (the forced orientation of the degenerate pair)."""
+    A focused profile chooses some {p}, so it is the principal orientation
+    toward p (`principal`); `enumerate_profiles` builds those, and nothing
+    on the `analyze` path does: regions count them by pixel (see
+    `regions`).  An unfocused profile is an F-tangle (`f_tangles`).
+    """
 
     stratum: Stratum
-    chosen: frozenset[int]
+    bits: np.ndarray = field(compare=False)
+    _bytes: bytes = field(init=False, repr=False)
+
+    def __post_init__(self):
+        bits = np.array(self.bits, bool)
+        bits.flags.writeable = False
+        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "_bytes", bits.tobytes())
 
     @property
     def k(self) -> int:
@@ -27,21 +54,39 @@ class Orientation:
     def pool(self) -> SeparationPool:
         return self.stratum.pool
 
+    def sides(self) -> np.ndarray:
+        """The chosen side of each pair, in scan order, as uint32."""
+        return np.where(self.bits, self.stratum.pairs, self.stratum.pairs ^ self.stratum.full_mask)
 
-@dataclass(frozen=True)
-class Profile(Orientation):
-    """A consistent orientation satisfying the profile condition, stored
-    as its chosen sides.
+    @cached_property
+    def chosen(self) -> frozenset[int]:
+        """The chosen sides as a set: each pair's and the full side."""
+        return frozenset([self.stratum.full_mask, *self.sides().tolist()])
 
-    A focused profile chooses some {p}, so it is the principal orientation
-    toward p; `enumerate_profiles` builds those, and nothing on the
-    `analyze` path does: regions count them by pixel (see `regions`).  An
-    unfocused profile is an F-tangle (`f_tangles`).
-    """
+    def key(self) -> tuple[int, bytes]:
+        """The canonical order: by k, and on one stratum as the lists of
+        sorted chosen sides compare.  Two profiles of one stratum differ
+        first at the smallest side that one of them chooses, and that one
+        comes first.  The scan order is ascending in each pair's smaller
+        side, the one without the top pixel, so that side is the smaller
+        side of the first pair where their bits differ.  The profiles
+        therefore compare as their per-pair flags "the smaller side is not
+        chosen", and that flag is the bit itself where the canonical side
+        holds the top pixel, and its negation where it does not."""
+        top = self.stratum.full_mask.bit_length() - 1
+        return self.k, (self.bits == self.stratum.pairs >> top).tobytes()
 
 
-def is_profile(o: Orientation) -> bool:
-    """Definition-level profile check, independent of the search engine."""
+def principal(stratum: Stratum, pixel: int) -> Profile:
+    """The principal orientation toward `pixel`: the side containing it
+    of every pair."""
+    return Profile(stratum, stratum.pairs >> pixel & 1)
+
+
+def is_profile(o: Profile) -> bool:
+    """Definition-level profile check, independent of the search engine.
+    It reads `o.stratum` and the set `o.chosen` alone, so it also takes
+    any object holding a stratum and a set of chosen sides."""
     full = o.stratum.full_mask
     chosen = o.chosen
     if full not in chosen or 0 in chosen:
@@ -70,8 +115,7 @@ def enumerate_profiles(stratum: Stratum) -> tuple[Profile, ...]:
     the principal orientations toward the pixels p with {p} in the
     stratum, and the F-tangles.  Built on each call; nothing is cached."""
     pixels, tangles = enumerate_profile_orientations(stratum)
-    found = [principal_sides(stratum, p) for p in pixels] + tangles
-    return tuple(Profile(stratum, o) for o in sorted(found, key=sorted))
+    return tuple(sorted([principal(stratum, p) for p in pixels] + tangles, key=Profile.key))
 
 
 def f_tangles(stratum: Stratum) -> tuple[Profile, ...]:
@@ -80,23 +124,20 @@ def f_tangles(stratum: Stratum) -> tuple[Profile, ...]:
     settled by a verified chop tree is already listed as empty."""
     cache = stratum.pool._f_tangles
     if stratum.k not in cache:
-        cache[stratum.k] = tuple(
-            Profile(stratum, o) for o in enumerate_profile_orientations(stratum)[1])
+        cache[stratum.k] = tuple(sorted(enumerate_profile_orientations(stratum)[1], key=Profile.key))
     return cache[stratum.k]
 
 
 def restrict(p: Profile, ell: int) -> Profile:
-    """The induced profile on the order-below-ell stratum: p's side of
-    each of its pairs, and the full side."""
+    """The induced profile on the order-below-ell stratum: p's bits of
+    the pairs of order below ell.  Strata nest in scan order (see
+    `sepsys.Stratum`), so these are the bits of that stratum's pairs."""
     if ell > p.k:
         raise ValueError(f"cannot restrict a {p.k}-profile upward to {ell}")
-    sub = p.pool.stratum(ell)
-    full = sub.full_mask
-    return Profile(sub, frozenset([full, *(c if c in p.chosen else c ^ full
-                                           for c in sub.pairs.tolist())]))
+    return Profile(p.pool.stratum(ell), p.bits[p.stratum.orders < ell])
 
 
-def is_focused(p: Orientation) -> bool:
+def is_focused(p: Profile) -> bool:
     return any(s.bit_count() == 1 for s in p.chosen)
 
 
@@ -108,20 +149,18 @@ def focused_children(q: Profile) -> list[int]:
     every side q chooses, and it is unfocused, as q is, exactly when {p}
     is not in the k-stratum: order({p}) = k, since {p} is in the
     (k+1)-stratum."""
-    common = q.pool.full_mask
-    for s in q.chosen:
-        common &= s
+    common = int(np.bitwise_and.reduce(q.sides(), initial=q.pool.full_mask))
     return [p for p in range(common.bit_length())
             if common >> p & 1 and q.pool.pixel_orders[p] == q.k]
 
 
-def distinguishes(line_side: int, p: Orientation, q: Orientation) -> bool:
+def distinguishes(line_side: int, p: Profile, q: Profile) -> bool:
     other = line_side ^ p.stratum.full_mask
     return ((line_side in p.chosen and other in q.chosen)
             or (other in p.chosen and line_side in q.chosen))
 
 
-def distinguishable(p: Orientation, q: Orientation) -> bool:
+def distinguishable(p: Profile, q: Profile) -> bool:
     return not (p.chosen <= q.chosen or q.chosen <= p.chosen)
 
 

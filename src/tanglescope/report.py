@@ -21,7 +21,7 @@ def _hex(side: int) -> str:
 def select_representatives(region_list) -> list[Profile]:
     """One maximal profile per region, dropping any that another induces."""
     reps = [r.members[-1] for r in region_list]
-    reps.sort(key=lambda p: (p.k, sorted(p.chosen)))
+    reps.sort(key=Profile.key)
     kept: list[Profile] = []
     for p in reps:
         if any(q.k >= p.k and restrict(q, p.k) == p for q in reps if q != p):

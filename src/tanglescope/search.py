@@ -18,8 +18,10 @@ searched for, so forcing never prunes an orientation sought.  It is not
 complete, though: a side forced as a superset runs no co-pointing check
 (below), so a complete assignment can still hold a star {r, s, (r & s)*}.
 Every leaf is therefore certified before it is kept (`_certified_leaf`):
-by the O(pairs) shared-pixel certificate where its chosen sides share a
-pixel, and by the definition-level `profiles.is_profile` otherwise.  A
+by the shared-pixel certificate where its chosen sides share a pixel
+(one `np.bitwise_and.reduce` over the chosen-side array and a
+single-pixel test), and by the definition-level `profiles.is_profile`
+otherwise.  A
 leaf failing both is dropped and counted (`dropped`), and a find-one
 search goes on past it.  A certified leaf is an F-tangle, as
 single-pixel sides were rejected on assignment.
@@ -29,8 +31,17 @@ nothing else: `as_c` holds the pairs whose canonical side (the one
 without pixel 0) is chosen, `as_d` those whose other side is.  A side is
 looked up by its canonical side.  Each decision frame keeps the
 (as_c, as_d) it started from, and backtracking restores that pair, so an
-undo costs nothing per assignment.  A leaf is read from `as_c` in one
-numpy pass over the pairs.
+undo costs nothing per assignment.  A leaf is a `profiles.Profile`:
+the bits of `as_c`, unpacked in one numpy pass and put back into stratum
+order.  No set of chosen sides is built.
+
+The search order sorts the pairs c by (min(|c|, |c*|), c), with a numpy
+popcount of the pairs' bit matrix and one `np.lexsort`.  Within one
+`_propagate` call the pair statuses are read from bytearray copies of
+as_c and as_d, in O(1) per read: each single assignment sets its bit in
+the copy as well, and a superset OR that assigns pairs copies its bitset
+again.  A read of the ints themselves would shift an int as wide as the
+stratum.
 
 Forcing runs on the same bitsets.  One column per pixel p, built once per
 search from the pairs' bit matrix, has bit i set iff p lies in the
@@ -41,7 +52,9 @@ are computed when needed, not kept.  For a side s that runs its checks:
 
 - the chosen sides co-pointing with s are the chosen supersets of s*,
   `(sup_c(s*) & as_c) | (sup_d(s*) & as_d)`, and each one's intersection
-  with s is looked up by side and queued while its pair is free;
+  with s is looked up by side and queued when it lies in the stratum; a
+  queued side whose pair holds it already is skipped, and one whose pair
+  holds its other side is a conflict;
 - superset forcing then assigns the free supersets of s at once, with
   `as_c |= sup_c(s) & free` and `as_d |= sup_d(s) & free`.  These sides
   run no checks of their own: their supersets are supersets of s, and
@@ -67,10 +80,11 @@ stratum.  A profile choosing no single pixel is exactly an F-tangle,
 since profiles are the F'-tangles (the footnote equivalence) and the
 F-tangles are the F'-tangles choosing no single pixel.  Enumeration
 therefore returns the focus pixels and the F-tangles, and builds no
-principal side set: `profiles.enumerate_profiles` builds them for a
-complete level, and `profiles.regions` never does: it needs only the
-number of focused profiles inducing each F-tangle, which it reads off the
-pixels' orders (`profiles.focused_children`).
+principal orientation: `profiles.enumerate_profiles` builds them for a
+complete level, as the bits `(pairs >> p) & 1`, and `profiles.regions`
+never does: it needs only the number of focused profiles inducing each
+F-tangle, which it reads off the pixels' orders
+(`profiles.focused_children`).
 
 The find-one search is left only the levels where a non-principal
 F-tangle could be the answer.  Where some pixel p has order({p}) >= k,
@@ -102,21 +116,18 @@ against the F'-tangles of the frozen reference search in `tests/oracles.py`.
 """
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from .sepsys import Stratum
 
+if TYPE_CHECKING:
+    from .profiles import Profile
+
 
 class SearchDefect(RuntimeError):
     """Internal invariant failure in an exhaustive search."""
-
-
-def principal_sides(stratum: Stratum, pixel: int) -> frozenset[int]:
-    """The chosen sides of the principal orientation toward `pixel`: the
-    side containing it of every pair, and the full side."""
-    full = stratum.full_mask
-    return frozenset([full, *(c if c >> pixel & 1 else c ^ full
-                              for c in stratum.pairs.tolist())])
 
 
 def _focus_pixels(stratum: Stratum) -> list[int]:
@@ -138,30 +149,24 @@ def _bit_array(mask: int, count: int) -> np.ndarray:
     return np.unpackbits(raw, count=count, bitorder="little")
 
 
-def _shares_pixel_certificate(stratum: Stratum, chosen: frozenset[int]) -> bool:
-    """True when `chosen` holds exactly one side of every pair plus the
-    full side, one pixel p lies in every chosen side, and no chosen side is
-    a single pixel.  Such an orientation is an unfocused profile: any two
-    chosen sides x, y share p, so they are not disjoint and (x & y)*,
-    which misses p, is not chosen.  O(pairs), where `is_profile` is
-    quadratic."""
-    full = stratum.full_mask
-    pairs = stratum.pairs.tolist()
-    common = full
-    for s in chosen:
-        common &= s
-    return (common != 0 and full in chosen
-            and len(chosen) == len(pairs) + 1
-            and all((c in chosen) != (c ^ full in chosen) for c in pairs)
-            and not any(s.bit_count() == 1 for s in chosen))
+def _shares_pixel_certificate(p: Profile) -> bool:
+    """True when one pixel lies in every side the orientation chooses and
+    none of them is a single pixel.  Such an orientation is an unfocused
+    profile: any two chosen sides x, y share the pixel, so they are not
+    disjoint and (x & y)*, which misses it, is not chosen.  O(pairs),
+    where `is_profile` is quadratic.  The full side is no single pixel
+    here: every stratum of a 1-pixel canvas is a full universe, which has
+    no F-tangle to certify (`_f_tangles`)."""
+    sides = p.sides()
+    return (int(np.bitwise_and.reduce(sides, initial=p.stratum.full_mask)) != 0
+            and np.count_nonzero(sides & (sides - 1)) == len(sides))
 
 
-def _certified_leaf(stratum: Stratum, chosen: frozenset[int]) -> bool:
+def _certified_leaf(p: Profile) -> bool:
     """The leaf check: the shared-pixel certificate, or else the
     definition-level `profiles.is_profile`."""
-    from .profiles import Orientation, is_profile  # profiles imports this module
-    return (_shares_pixel_certificate(stratum, chosen)
-            or is_profile(Orientation(stratum, chosen)))
+    from .profiles import is_profile  # profiles imports this module
+    return _shares_pixel_certificate(p) or is_profile(p)
 
 
 class _AssignmentSearch:
@@ -172,25 +177,27 @@ class _AssignmentSearch:
         self.stratum = stratum
         self.dropped = 0             # complete assignments that failed the leaf check
         self.full = stratum.full_mask
-        # branch on small underlying sets first: they decide the most
-        self.pairs = sorted(
-            stratum.pairs.tolist(),
-            key=lambda c: (min(c.bit_count(), (c ^ self.full).bit_count()), c),
-        )
+        # the pairs' little-endian bit matrix: row i holds the pixels of pair
+        # i, as sides fit in 32 bits (HARD_PIXEL_CAP)
+        matrix = np.unpackbits(np.asarray(stratum.pairs, "<u4").view(np.uint8).reshape(-1, 4),
+                               axis=1, bitorder="little")
+        # branch on small underlying sets first: they decide the most.  The
+        # search order sorts the pairs c by (min(|c|, |c*|), c)
+        size = matrix.sum(axis=1)
+        order = np.lexsort((stratum.pairs, np.minimum(size, self.full.bit_length() - size)))
+        self.pairs = stratum.pairs[order].tolist()
+        self.rank = np.argsort(order)   # pair i of the stratum is pairs[rank[i]]
         # pair index by canonical side, the side without pixel 0
         self.index = {c: i for i, c in enumerate(self.pairs)}
         # the whole assignment: the pairs whose canonical side (as_c) or
         # whose other side (as_d) is chosen
         self.all = (1 << len(self.pairs)) - 1
+        self.width = (len(self.pairs) + 7) // 8   # bytes of an assignment bitset
         self.as_c = 0
         self.as_d = 0
-        # pixel columns: bit i of incl[p] is set iff pixel p is in pairs[i].
-        # Sides fit in 32 bits (HARD_PIXEL_CAP), so transposing the pairs'
-        # little-endian bit matrix gives every column at once
-        self.pair_array = np.array(self.pairs, dtype="<u4")
-        sides = self.pair_array.view(np.uint8).reshape(-1, 4)
-        columns = np.packbits(np.unpackbits(sides, axis=1, bitorder="little").T,
-                              axis=1, bitorder="little")
+        # pixel columns: bit i of incl[p] is set iff pixel p is in pairs[i],
+        # the search-ordered matrix transposed
+        columns = np.packbits(matrix[order].T, axis=1, bitorder="little")
         self.incl = [int.from_bytes(col.tobytes(), "little")
                      for col in columns[:self.full.bit_length()]]
         self.excl = [col ^ self.all for col in self.incl]
@@ -205,56 +212,58 @@ class _AssignmentSearch:
                 sup_d &= self.excl[p]
         return sup_c, sup_d
 
-    def _chosen(self, i: int) -> int | None:
-        """The chosen side of pair i, or None while it is free."""
-        if self.as_c >> i & 1:
-            return self.pairs[i]
-        if self.as_d >> i & 1:
-            return self.pairs[i] ^ self.full
-        return None
-
     def _propagate(self, side: int) -> bool:
         """Assign `side` and close under forcing.  False on conflict, with
-        the assignment left half made: the caller restores it."""
-        full, pairs, index = self.full, self.pairs, self.index
+        the assignment left half made: the caller restores it.
+
+        Pair statuses are read from bytearray copies of as_c and as_d,
+        bit i of byte i >> 3, which each single assignment sets as well and
+        which are copied again after a superset OR that assigned pairs."""
+        full, pairs, index, width = self.full, self.pairs, self.index, self.width
+        chose_c = bytearray(self.as_c.to_bytes(width, "little"))
+        chose_d = bytearray(self.as_d.to_bytes(width, "little"))
         queue = [side]
         while queue:
             s = queue.pop()
             if s.bit_count() == 1:
                 return False  # single-pixel star
             i = index[s ^ full if s & 1 else s]
-            cur = self._chosen(i)
-            if cur is not None:
-                if cur != s:
-                    return False
+            byte, bit = i >> 3, 1 << (i & 7)
+            held, other = (chose_d, chose_c) if s & 1 else (chose_c, chose_d)
+            if other[byte] & bit:
+                return False  # the pair holds the other side
+            if held[byte] & bit:
                 continue
+            held[byte] |= bit
             if s & 1:
                 self.as_d |= 1 << i
             else:
                 self.as_c |= 1 << i
             # forced intersections with the chosen sides y co-pointing with
             # s (y | s == full): exactly the chosen supersets of s*.  Sides
-            # of distinct pairs that co-point always meet
+            # of distinct pairs that co-point always meet.  An intersection
+            # already held is skipped when popped, and one whose pair holds
+            # its other side is a conflict, {s, y, j*} fully present
             sup_c, sup_d = self._supersets(s ^ full)
             for py in _bits((sup_c & self.as_c) | (sup_d & self.as_d)):
-                j = (pairs[py] if self.as_c >> py & 1 else pairs[py] ^ full) & s
-                pj = index.get(j ^ full if j & 1 else j)
-                if pj is not None:
-                    cur = self._chosen(pj)
-                    if cur is None:
-                        queue.append(j)
-                    elif cur != j:
-                        return False  # {s, y, j*} fully present
+                j = (pairs[py] if chose_c[py >> 3] >> (py & 7) & 1 else pairs[py] ^ full) & s
+                if (j ^ full if j & 1 else j) in index:
+                    queue.append(j)
             # consistency: every stratum superset of s is forced, with no
             # checks of its own (the leaf check catches the stars skipped)
             sup_c, sup_d = self._supersets(s)
             free = self.all ^ (self.as_c | self.as_d)
-            self.as_c |= sup_c & free
-            self.as_d |= sup_d & free
+            if sup_c & free:
+                self.as_c |= sup_c & free
+                chose_c = bytearray(self.as_c.to_bytes(width, "little"))
+            if sup_d & free:
+                self.as_d |= sup_d & free
+                chose_d = bytearray(self.as_d.to_bytes(width, "little"))
         return True
 
-    def run(self, find_one: bool = False) -> list[frozenset[int]]:
-        results: list[frozenset[int]] = []
+    def run(self, find_one: bool = False) -> list[Profile]:
+        from .profiles import Profile  # profiles imports this module
+        results: list[Profile] = []
         # decision frames (pair index, sides left to try (the larger side is
         # tried first), the assignment before the pair was decided)
         stack: list[tuple] = []
@@ -263,10 +272,8 @@ class _AssignmentSearch:
             # the lowest free pair at or after start
             free = (self.all ^ (self.as_c | self.as_d)) >> start
             if not free:
-                chosen = np.where(_bit_array(self.as_c, len(self.pairs)),
-                                  self.pair_array, self.pair_array ^ self.full)
-                leaf = frozenset(chosen.tolist()) | {self.full}
-                if _certified_leaf(self.stratum, leaf):
+                leaf = Profile(self.stratum, _bit_array(self.as_c, len(self.pairs))[self.rank])
+                if _certified_leaf(leaf):
                     results.append(leaf)
                     if find_one:
                         return results
@@ -290,7 +297,7 @@ class _AssignmentSearch:
                 return results
 
 
-def _f_tangles(stratum: Stratum, find_one: bool = False) -> list[frozenset[int]]:
+def _f_tangles(stratum: Stratum, find_one: bool = False) -> list[Profile]:
     """The consistent orientations avoiding void <=3-stars and single pixels
     (all of them, or the first found)."""
     if stratum.k > stratum.pool.max_order:
@@ -305,15 +312,14 @@ def _f_tangles(stratum: Stratum, find_one: bool = False) -> list[frozenset[int]]
 # -- public entry points ------------------------------------------------------
 
 
-def enumerate_profile_orientations(stratum: Stratum) -> tuple[list[int], list[frozenset[int]]]:
+def enumerate_profile_orientations(stratum: Stratum) -> tuple[list[int], list[Profile]]:
     """The profiles of the stratum in two parts: the pixels p with {p} in
     the stratum, in pixel order (the focused profile toward p is the
-    principal orientation toward p), and the F-tangles as chosen-side
-    sets, sorted canonically."""
-    return _focus_pixels(stratum), sorted(_f_tangles(stratum), key=sorted)
+    principal orientation toward p), and the F-tangles, in search order."""
+    return _focus_pixels(stratum), _f_tangles(stratum)
 
 
-def find_star_avoiding_orientation(stratum: Stratum) -> frozenset[int] | None:
+def find_star_avoiding_orientation(stratum: Stratum) -> Profile | None:
     """One consistent orientation avoiding void <=3-stars and single pixels."""
     hits = _f_tangles(stratum, find_one=True)
     return hits[0] if hits else None

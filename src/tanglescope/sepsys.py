@@ -8,6 +8,7 @@ each predicate below takes the pool's `full` mask explicitly.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -45,8 +46,8 @@ class SeparationPool:
 
     @cached_property
     def _rows(self) -> tuple:
-        """The table's rows as `order_of` and `_below` read them: the flat
-        index of the row of each pattern, the pattern period mask, the
+        """The table's rows as `order_of` and `orders_of` read them: the
+        flat index of the row of each pattern, the pattern period mask, the
         rows flattened, the offset bits and their mask."""
         table = self.wc.all_orders()
         bits = table.rows.shape[1].bit_length() - 1
@@ -104,48 +105,55 @@ class SeparationPool:
         below k, in table order, as uint32; the first is index 0 (order 0),
         the pair of 0 and the full side.
 
-        Only the blocks whose minimum is below k are read, as their
-        pattern's row against k - 1 - block_min[h] in the table dtype.
-        Each distinct (pattern, threshold) is compared once, to the
-        canonical offsets its blocks share; consecutive blocks that share
-        them form a run.  The sides are counted before one uint32 array is
+        A one-block table (at most 13 pixels) is its one row against k.
+        Otherwise numpy reads the block minima one chunk at a time: it
+        picks the blocks whose minimum is below k and keys each by its
+        pattern and its threshold k - 1 - block_min[h], against which its
+        row is read.  Consecutive blocks of one key form a run, and each
+        distinct key is compared once, to the canonical offsets its blocks
+        share.  The sides are counted before one uint32 array is
         allocated, and a stratum larger than the memory the process may
-        use raises CanvasSizeError instead.  Each block is then filled as
-        its offsets XOR its base, one scalar."""
-        block_min = self.wc.all_orders().block_min
-        row_starts, period, rows, bits, _ = self._rows
-        width = 1 << bits
+        use raises CanvasSizeError instead.  Each run is then filled with
+        one broadcast XOR of its blocks' bases and its offsets."""
+        table = self.wc.all_orders()
         canonical = self._canonical_offsets
-        hits: dict[tuple[int, int], np.ndarray] = {}
-        runs: list[list] = []    # [first block, block count, canonical offsets]
-        last, end = None, -1
-        for lo in range(0, len(block_min), 1 << _CHUNK_BITS):
-            chunk = block_min[lo:lo + (1 << _CHUNK_BITS)]
-            picked = (chunk < k).nonzero()[0]
-            for h, low in zip((picked + lo).tolist(), chunk[picked].tolist()):
-                start = row_starts[h & period]
-                key = (start, k - 1 - low)
-                offsets = hits.get(key)
-                if offsets is None:
-                    offsets = hits[key] = canonical[rows[start:start + width] <= key[1]]
-                if offsets is last and h == end:
-                    runs[-1][1] += 1
-                else:
-                    runs.append([h, 1, offsets])
-                    last = offsets
-                end = h + 1
-        need = 4 * sum(count * len(offsets) for _, count, offsets in runs)
+        if len(table.block_min) == 1:   # block_min is [0]: one row, one pattern
+            return canonical[table.rows[0] < k]
+        bits = table.rows.shape[1].bit_length() - 1
+        patterns = len(table.pattern)
+        offsets: dict[int, np.ndarray] = {}   # by key
+        runs = []       # per chunk: its runs' first blocks, block counts and keys
+        need = 0
+        for lo in range(0, len(table.block_min), 1 << _CHUNK_BITS):
+            chunk = table.block_min[lo:lo + (1 << _CHUNK_BITS)]
+            h = np.flatnonzero(chunk < k)
+            key = ((k - 1 - chunk[h].astype(np.int64)) * patterns
+                   + table.pattern[(h + lo) & (patterns - 1)])
+            for u, blocks in Counter(key.tolist()).items():
+                if u not in offsets:
+                    threshold, row = divmod(u, patterns)
+                    offsets[u] = canonical[table.rows[row] <= threshold]
+                need += 4 * blocks * len(offsets[u])
+            # the run edges: a block that starts a run, and the chunk's end
+            edge = np.ones(len(h) + 1, bool)
+            edge[1:-1] = (key[1:] != key[:-1]) | (h[1:] != h[:-1] + 1)
+            edge = np.flatnonzero(edge)
+            first = edge[:-1]
+            runs.append((h[first] + lo, edge[1:] - first, key[first]))
         memory = canvas._physical_memory() if need > _PROBE_BYTES else None
         if memory is not None and need > memory:
             raise CanvasSizeError(
                 f"stratum {k} of {self.wc.npixels} pixels needs {need} bytes, more "
                 f"than the {memory} bytes of memory the process may use")
         sides = np.empty(need // 4, np.uint32)
+        bases = (np.arange(len(table.block_min), dtype=np.uint32) << bits)[:, None]
         at = 0
-        for h, count, offsets in runs:
-            for base in range(h * width, (h + count) * width, width):
-                np.bitwise_xor(offsets, base, out=sides[at:at + len(offsets)])
-                at += len(offsets)
+        for firsts, counts, keys in runs:
+            for h, count, u in zip(firsts.tolist(), counts.tolist(), keys.tolist()):
+                row = offsets[u]
+                end = at + count * len(row)
+                np.bitwise_xor(bases[h:h + count], row, out=sides[at:end].reshape(count, len(row)))
+                at = end
         return sides
 
     def stratum(self, k: int) -> "Stratum":
@@ -173,9 +181,11 @@ class Stratum:
     A pool builds one Stratum per k and memoises it, so strata compare and
     hash by identity, as pools do.  `pairs` is a read-only uint32 array
     of the canonical side of every line, in the deterministic order of the
-    pool's table scan; a reader that needs another order sorts the pairs
-    itself, and one that works on Python ints converts them once with
-    `tolist()`."""
+    pool's table scan: ascending in the pair's side without the top pixel,
+    its table index.  So strata nest in scan order: the pairs of order
+    below l < k are those of stratum k with `orders` below l, in the same
+    order.  A reader that needs another order sorts the pairs itself, and
+    one that works on Python ints converts them once with `tolist()`."""
 
     pool: SeparationPool
     k: int
@@ -184,6 +194,11 @@ class Stratum:
     @property
     def full_mask(self) -> int:
         return self.pool.full_mask
+
+    @cached_property
+    def orders(self) -> np.ndarray:
+        """The order of each pair, in scan order, in the table dtype."""
+        return self.pool.orders_of(self.pairs)
 
 
 def build_universe(wc: WeightedCanvas,

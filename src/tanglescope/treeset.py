@@ -101,7 +101,7 @@ def build_distinguishing_tree_set(profiles, pool: SeparationPool) -> TreeSet:
     minimality fall through to the next greedy solution.  Every profile
     must come from `pool`, whose order table ranks the lines.
     """
-    profiles = sorted(set(profiles), key=lambda p: (p.k, sorted(p.chosen)))
+    profiles = sorted(set(profiles), key=Profile.key)
     if any(p.pool is not pool for p in profiles):
         raise ValueError("profiles from a different pool")
     pairs = []
@@ -167,7 +167,7 @@ class TreeSetReport:
 def verify_tree_set(t: TreeSet, profiles) -> TreeSetReport:
     """Independent check of efficiency, minimality and the orientation
     bijection, plus laminarity."""
-    profiles = sorted(set(profiles), key=lambda p: (p.k, sorted(p.chosen)))
+    profiles = sorted(set(profiles), key=Profile.key)
     laminar = laminar_sides(t.lines, t.full_mask)
     prof_pairs = [(p, q) for i, p in enumerate(profiles) for q in profiles[i + 1:]]
 

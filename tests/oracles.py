@@ -14,7 +14,8 @@ mode (`unfocused=False`) supplies the F'-tangles against which the tests
 check the footnote equivalence, profiles = F'-tangles.
 
 The second part holds definitions that no analysis path needs: the order
-of every subset as one table, every side of a stratum as a set, the
+of every subset as one table, every side of a stratum as a set, any set
+of chosen sides as an orientation, the
 standard star set F as an explicit set, principality, induction,
 equivalence of profiles and the complete profile levels.
 
@@ -31,8 +32,8 @@ from itertools import combinations, product
 import numpy as np
 
 from tanglescope.canvas import WeightedCanvas
-from tanglescope.profiles import (Orientation, Profile, enumerate_profiles,
-                                  is_focused, is_profile, restrict)
+from tanglescope.profiles import (Profile, enumerate_profiles, is_focused,
+                                  is_profile, restrict)
 from tanglescope.sepsys import SeparationPool, Stratum, star_sides, void_sides
 
 
@@ -240,8 +241,23 @@ class StarSetF:
         return out
 
 
+@dataclass(frozen=True)
+class Orientation:
+    """Any set of chosen sides on a stratum, which `is_profile` reads as
+    it reads a profile's `chosen`: a profile holds the chosen side of every
+    pair plus the full side."""
+
+    stratum: Stratum
+    chosen: frozenset[int]
+
+
 def orientation_of(stratum: Stratum, chosen) -> Orientation:
     return Orientation(stratum, frozenset(chosen) | {stratum.full_mask})
+
+
+def profile_of(stratum: Stratum, chosen) -> Profile:
+    """The bit form of a set holding one side of every pair."""
+    return Profile(stratum, [c in chosen for c in stratum.pairs.tolist()])
 
 
 def is_principal(p: Orientation) -> bool:

@@ -52,7 +52,7 @@ def test_engines_match_oracles_on_random_pictures(wc):
             assert (searched is not None) == bool(naive)
             for hit in (listed, found):
                 assert hit is None or hit.chosen in naive
-            assert searched is None or searched in naive
+            assert searched is None or searched.chosen in naive
     # the fresh pool lists only the levels a verified chop tree settled;
     # the tree is rebuilt and re-verified on a pool of its own
     for k, listed in fresh._f_tangles.items():

@@ -22,16 +22,15 @@ from corpus import (TWELVE_PIXEL_PICTURES, defect4x4, dot4x5, lshape3x3, one_pix
                     picture, random_weighted, weighted)
 from oracles import (ReferenceSearch, StarSetF, _consistent, all_orientations,
                      carving_width, full_orders, is_principal, members,
-                     naive_fprime_stars, naive_tangles, orientation_of)
+                     naive_fprime_stars, naive_tangles, orientation_of, profile_of)
 from tanglescope import (Profile, WeightedCanvas, analyze, build_chop_tree,
                          build_universe, enumerate_profiles, find_f_tangle, is_focused,
                          is_profile, max_supported_resolution, verify_chop_tree,
                          verify_duality)
 from tanglescope.duality import ChopNode, ChopTree, induced_subcanvas
 from tanglescope.fixtures import fixture_canvas, noisedisc_masks
-from tanglescope.profiles import f_tangles
-from tanglescope.search import (SearchDefect, find_star_avoiding_orientation,
-                                principal_sides)
+from tanglescope.profiles import f_tangles, principal
+from tanglescope.search import SearchDefect, find_star_avoiding_orientation
 
 
 def test_standard_f_membership(pool_mono):
@@ -126,7 +125,7 @@ def _unprincipal_stratum(canvas, k):
 ], ids=["focused", "inconsistent", "non-profile"])
 def test_find_f_tangle_rejects_bad_hits(monkeypatch, canvas, k, wanted):
     stratum = _unprincipal_stratum(canvas, k)
-    bad = _first_orientation(stratum, wanted)
+    bad = profile_of(stratum, _first_orientation(stratum, wanted))
     searched = []
     # both levels have a chop tree, which would settle them unsearched:
     # hide it, so that the planted hit comes from the search
@@ -148,36 +147,27 @@ def test_find_f_tangle_rejects_bad_listed_hits(canvas, k, wanted):
     # a level the pool has enumerated answers from its list, under the
     # same re-check as the search
     stratum = _unprincipal_stratum(canvas, k)
-    stratum.pool._f_tangles[k] = (Profile(stratum, _first_orientation(stratum, wanted)),)
+    stratum.pool._f_tangles[k] = (profile_of(stratum, _first_orientation(stratum, wanted)),)
     with pytest.raises(SearchDefect):
         find_f_tangle(stratum)
 
 
 def _bad_principal(kind, stratum, p):
-    """The principal sides toward p, spoilt in the named way."""
-    good = principal_sides(stratum, p)
-    full = stratum.full_mask
-    # a chosen side whose complement is not a single pixel, and a side
-    # holding p that is no single pixel and lies outside the stratum
-    side = next(s for s in sorted(good) if (s ^ full).bit_count() > 1)
-    foreign = next(s for s in range(full) if s >> p & 1 and s.bit_count() > 1
-                   and s not in members(stratum))
+    """The principal orientation toward p, spoilt in the named way."""
     if kind == "single-pixel side":
         light = next(q for q, order in enumerate(stratum.pool.pixel_orders)
                      if order < stratum.k)
-        return principal_sides(stratum, light)
-    if kind == "missing side":
-        # a foreign side in its place keeps the count and the common pixel
-        return good - {side} | {foreign}
-    if kind == "extra side":
-        return good | {foreign}
-    if kind == "both sides":
-        return good | {side ^ full}
-    return good - {side} | {side ^ full}
+        return principal(stratum, light)
+    # the other side of the smallest chosen side whose complement is not a
+    # single pixel: one side per pair still, and no single pixel
+    good = principal(stratum, p)
+    full = stratum.full_mask
+    side = min(s for s in good.chosen if (s ^ full).bit_count() > 1)
+    flipped = stratum.pairs == (side ^ full if side & 1 else side)
+    return Profile(stratum, good.bits ^ flipped)
 
 
-@pytest.mark.parametrize("kind", ["single-pixel side", "missing side", "extra side",
-                                  "both sides", "no common pixel"])
+@pytest.mark.parametrize("kind", ["single-pixel side", "no common pixel"])
 def test_find_f_tangle_rejects_bad_principal_hits(monkeypatch, kind):
     # mono2x2 k=2 is answered in closed form toward pixel 3, the one pixel
     # of order >= 2; the planted builder spoils that answer
@@ -185,7 +175,7 @@ def test_find_f_tangle_rejects_bad_principal_hits(monkeypatch, kind):
     assert stratum.pool.pixel_orders == (0, 1, 1, 2)
     bad = _bad_principal(kind, stratum, 3)
     built, checked = [], []
-    monkeypatch.setattr(duality, "principal_sides",
+    monkeypatch.setattr(duality, "principal",
                         lambda s, p: built.append(p) or bad)
     monkeypatch.setattr(duality, "is_profile",
                         lambda o: checked.append(o) or is_profile(o))
@@ -193,14 +183,9 @@ def test_find_f_tangle_rejects_bad_principal_hits(monkeypatch, kind):
         find_f_tangle(stratum)
     assert built == [3]
     if kind == "no common pixel":
-        # one side per pair and no single pixel, so only is_profile can
-        # catch it
-        full = stratum.full_mask
-        pairs = stratum.pairs.tolist()
-        assert len(bad) == len(pairs) + 1 and full in bad
-        assert all((c in bad) != (c ^ full in bad) for c in pairs)
-        assert not any(s.bit_count() == 1 for s in bad)
-        assert [o.chosen for o in checked] == [bad]
+        # no single pixel is chosen, so only is_profile can catch it
+        assert not any(s.bit_count() == 1 for s in bad.chosen)
+        assert checked == [bad]
 
 
 def test_principal_levels_are_not_searched(monkeypatch, wc_quad):
@@ -214,7 +199,7 @@ def test_principal_levels_are_not_searched(monkeypatch, wc_quad):
     assert (min(pool.pixel_orders), max(pool.pixel_orders)) == (4, 5)
     for k, pixel in ((1, 0), (2, 0), (3, 0), (4, 0), (5, 4)):
         stratum = pool.stratum(k)
-        assert find_f_tangle(stratum).chosen == principal_sides(stratum, pixel)
+        assert find_f_tangle(stratum) == principal(stratum, pixel)
         assert build_chop_tree(wc_quad, k, fresh) is None
     # the chop search reads the stratum's pairs; the closed form builds none
     assert not fresh._strata
@@ -310,7 +295,7 @@ def test_full_universe_fprime_tangles_are_principal(canvas):
     stratum = pool.stratum(pool.max_order + 1)
     assert len(stratum.pairs) == (1 << (pool.wc.npixels - 1)) - 1
     got = sorted(ReferenceSearch(stratum, unfocused=False).run(), key=sorted)
-    assert got == [principal_sides(stratum, p) for p in range(pool.wc.npixels)]
+    assert got == [principal(stratum, p).chosen for p in range(pool.wc.npixels)]
 
 
 @pytest.mark.parametrize("name", sorted(TWELVE_PIXEL_PICTURES) + ["quad4x4"])
@@ -601,7 +586,7 @@ def test_defect4x4_analyze_lists_one_principal_f_tangle_per_level():
     for k in range(1, 5):
         stratum = pool.stratum(k)
         (tangle,) = f_tangles(stratum)
-        assert tangle.chosen == principal_sides(stratum, 5)
+        assert tangle == principal(stratum, 5)
 
 
 def test_resolution_noisedisc_block_exceeds_noise():

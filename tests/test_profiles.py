@@ -7,9 +7,9 @@ from hypothesis import given, settings
 
 from corpus import (SMALL_PICTURES, TWELVE_PIXEL_PICTURES, picture, random_weighted,
                     weighted, white2x2)
-from oracles import (equivalent, induces, is_principal, naive_profiles,
+from oracles import (Orientation, equivalent, induces, is_principal, naive_profiles,
                      orientation_of, profile_levels)
-from tanglescope import (Orientation, WeightedCanvas, build_universe,
+from tanglescope import (Profile, WeightedCanvas, build_universe,
                          distinguishable, distinguishes, enumerate_profiles,
                          is_focused, is_profile, refines, regions, restrict)
 from tanglescope.fixtures import fixture_canvas
@@ -125,6 +125,25 @@ def test_restrict_matches_definition(wc):
                 q = restrict(p, ell)
                 assert q.stratum is pool.stratum(ell)
                 assert q.chosen == {s for s in p.chosen if pool.order_of(s) < ell}
+
+
+@settings(deadline=None, max_examples=30)
+@given(random_weighted(max_pixels=10))
+def test_profiles_compare_as_their_chosen_sides(wc):
+    # the bit form against the set form: equal exactly when the chosen
+    # sides are, equal hashes for equal profiles, and Profile.key sorts as
+    # (k, sorted chosen sides) does
+    pool = build_universe(wc)
+    profs = [p for profs in profile_levels(pool).values() for p in profs]
+    profs += [restrict(p, ell) for p in profs for ell in range(1, p.k)]
+    for p in profs:
+        assert not p.bits.flags.writeable and len(p.bits) == len(p.stratum.pairs)
+        for q in profs:
+            assert (p == q) == (p.stratum is q.stratum and p.chosen == q.chosen)
+            if p == q:
+                assert hash(p) == hash(q)
+    assert (sorted(profs, key=Profile.key)
+            == sorted(profs, key=lambda p: (p.k, sorted(p.chosen))))
 
 
 def test_induces_example(pool_mono):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import tanglescope.search as search_module
 from corpus import lshape3x3, picture, rand4x5, weighted
 from oracles import ReferenceSearch, members
-from tanglescope import WeightedCanvas, build_universe, suggest_N
+from tanglescope import Profile, WeightedCanvas, build_universe, suggest_N
 from tanglescope.search import (_AssignmentSearch, _bits, _certified_leaf,
                                 find_star_avoiding_orientation)
 
@@ -41,7 +41,7 @@ def test_engine_leaves_equal_reference_on_multiword_strata(wc):
     assume(stratum is not None and len(stratum.pairs) <= _MAX_PAIRS
            and stratum.k <= pool.max_order)
     for find_one in (True, False):
-        leaves = _AssignmentSearch(stratum).run(find_one)
+        leaves = [p.chosen for p in _AssignmentSearch(stratum).run(find_one)]
         assert leaves == ReferenceSearch(stratum, unfocused=True).run(find_one)
 
 
@@ -83,13 +83,12 @@ def test_rejected_leaf_is_dropped_and_the_search_goes_on(monkeypatch):
     leaves = _AssignmentSearch(stratum).run()
     assert len(leaves) >= 2
     # the leaf check itself rejects a complete assignment that is no profile
-    full = stratum.full_mask
-    assert not _certified_leaf(stratum, frozenset(s ^ full for s in leaves[0] - {full}) | {full})
+    assert not _certified_leaf(Profile(stratum, ~leaves[0].bits))
     seen = []
 
-    def reject_first(stratum, chosen):
-        seen.append(chosen)
-        return len(seen) > 1 and _certified_leaf(stratum, chosen)
+    def reject_first(leaf):
+        seen.append(leaf)
+        return len(seen) > 1 and _certified_leaf(leaf)
 
     monkeypatch.setattr(search_module, "_certified_leaf", reject_first)
     engine = _AssignmentSearch(stratum)

@@ -204,6 +204,35 @@ def test_multi_block_strata_match_table_scan(dtype):
     assert levels == {"skips blocks", "every block"}
 
 
+def _assert_strata_nest(pool):
+    # strata change only where k passes an order, so checking those levels
+    # covers every k < l <= max_order + 1
+    levels = [1] + [o + 1 for o in np.unique(full_orders(pool.wc)).tolist()]
+    for ell in levels[1:]:
+        outer = pool.stratum(ell).pairs
+        orders = pool.orders_of(outer)
+        for k in levels[:levels.index(ell)]:
+            assert np.array_equal(pool.stratum(k).pairs, outer[orders < k])
+
+
+@settings(deadline=None, max_examples=40)
+@given(random_weighted())
+def test_one_block_strata_nest_in_scan_order(wc):
+    # profiles.restrict keeps the bits of the pairs of order below k, which
+    # are stratum k's pairs in its own order
+    _assert_strata_nest(build_universe(wc))
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16], ids=lambda d: d.__name__)
+def test_multi_block_strata_nest_in_scan_order(dtype):
+    @settings(deadline=None, max_examples=3)
+    @given(_multi_block_weighted(dtype))
+    def check(wc):
+        _assert_strata_nest(build_universe(wc))
+
+    check()
+
+
 def test_glyph_strata_read_few_blocks(wc_minil):
     # the L glyph's low strata come from a few hundred of its 4096 blocks,
     # with no mask or index array the size of the table
