@@ -26,7 +26,8 @@ class Profile:
     """A consistent orientation satisfying the profile condition, stored
     as `bits`: a read-only bool array, true where the canonical side of
     the pair `stratum.pairs[i]` is chosen; the full side, the forced
-    orientation of the degenerate pair, is always chosen.  Profiles are
+    orientation of the degenerate pair, is always chosen.  Bits of another
+    shape than the pairs raise ValueError.  Profiles are
     equal, and hash equally, when they lie on the same stratum (strata
     compare by identity) and the bytes of their bits are equal.
 
@@ -41,18 +42,16 @@ class Profile:
     _bytes: bytes = field(init=False, repr=False)
 
     def __post_init__(self):
-        bits = np.array(self.bits, bool)
-        bits.flags.writeable = False
-        object.__setattr__(self, "bits", bits)
+        bits = np.asarray(self.bits, bool)
+        if bits.shape != self.stratum.pairs.shape:
+            raise ValueError(f"bits of shape {bits.shape} for {len(self.stratum.pairs)} pairs")
         object.__setattr__(self, "_bytes", bits.tobytes())
+        # a view of the immutable bytes, so read-only and not a second copy
+        object.__setattr__(self, "bits", np.frombuffer(self._bytes, bool))
 
     @property
     def k(self) -> int:
         return self.stratum.k
-
-    @property
-    def pool(self) -> SeparationPool:
-        return self.stratum.pool
 
     def sides(self) -> np.ndarray:
         """The chosen side of each pair, in scan order, as uint32."""
@@ -134,7 +133,7 @@ def restrict(p: Profile, ell: int) -> Profile:
     `sepsys.Stratum`), so these are the bits of that stratum's pairs."""
     if ell > p.k:
         raise ValueError(f"cannot restrict a {p.k}-profile upward to {ell}")
-    return Profile(p.pool.stratum(ell), p.bits[p.stratum.orders < ell])
+    return Profile(p.stratum.pool.stratum(ell), p.bits[p.stratum.orders < ell])
 
 
 def is_focused(p: Profile) -> bool:
@@ -149,9 +148,9 @@ def focused_children(q: Profile) -> list[int]:
     every side q chooses, and it is unfocused, as q is, exactly when {p}
     is not in the k-stratum: order({p}) = k, since {p} is in the
     (k+1)-stratum."""
-    common = int(np.bitwise_and.reduce(q.sides(), initial=q.pool.full_mask))
+    common = int(np.bitwise_and.reduce(q.sides(), initial=q.stratum.full_mask))
     return [p for p in range(common.bit_length())
-            if common >> p & 1 and q.pool.pixel_orders[p] == q.k]
+            if common >> p & 1 and q.stratum.pool.pixel_orders[p] == q.k]
 
 
 def distinguishes(line_side: int, p: Profile, q: Profile) -> bool:

@@ -116,14 +116,10 @@ against the F'-tangles of the frozen reference search in `tests/oracles.py`.
 """
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 import numpy as np
 
+from . import profiles  # which imports this module: its names are read at call time
 from .sepsys import Stratum
-
-if TYPE_CHECKING:
-    from .profiles import Profile
 
 
 class SearchDefect(RuntimeError):
@@ -149,7 +145,7 @@ def _bit_array(mask: int, count: int) -> np.ndarray:
     return np.unpackbits(raw, count=count, bitorder="little")
 
 
-def _shares_pixel_certificate(p: Profile) -> bool:
+def _shares_pixel_certificate(p: profiles.Profile) -> bool:
     """True when one pixel lies in every side the orientation chooses and
     none of them is a single pixel.  Such an orientation is an unfocused
     profile: any two chosen sides x, y share the pixel, so they are not
@@ -162,11 +158,10 @@ def _shares_pixel_certificate(p: Profile) -> bool:
             and np.count_nonzero(sides & (sides - 1)) == len(sides))
 
 
-def _certified_leaf(p: Profile) -> bool:
+def _certified_leaf(p: profiles.Profile) -> bool:
     """The leaf check: the shared-pixel certificate, or else the
     definition-level `profiles.is_profile`."""
-    from .profiles import is_profile  # profiles imports this module
-    return _shares_pixel_certificate(p) or is_profile(p)
+    return _shares_pixel_certificate(p) or profiles.is_profile(p)
 
 
 class _AssignmentSearch:
@@ -261,9 +256,8 @@ class _AssignmentSearch:
                 chose_d = bytearray(self.as_d.to_bytes(width, "little"))
         return True
 
-    def run(self, find_one: bool = False) -> list[Profile]:
-        from .profiles import Profile  # profiles imports this module
-        results: list[Profile] = []
+    def run(self, find_one: bool = False) -> list[profiles.Profile]:
+        results: list[profiles.Profile] = []
         # decision frames (pair index, sides left to try (the larger side is
         # tried first), the assignment before the pair was decided)
         stack: list[tuple] = []
@@ -272,7 +266,7 @@ class _AssignmentSearch:
             # the lowest free pair at or after start
             free = (self.all ^ (self.as_c | self.as_d)) >> start
             if not free:
-                leaf = Profile(self.stratum, _bit_array(self.as_c, len(self.pairs))[self.rank])
+                leaf = profiles.Profile(self.stratum, _bit_array(self.as_c, len(self.pairs))[self.rank])
                 if _certified_leaf(leaf):
                     results.append(leaf)
                     if find_one:
@@ -297,7 +291,7 @@ class _AssignmentSearch:
                 return results
 
 
-def _f_tangles(stratum: Stratum, find_one: bool = False) -> list[Profile]:
+def _f_tangles(stratum: Stratum, find_one: bool = False) -> list[profiles.Profile]:
     """The consistent orientations avoiding void <=3-stars and single pixels
     (all of them, or the first found)."""
     if stratum.k > stratum.pool.max_order:
@@ -312,14 +306,14 @@ def _f_tangles(stratum: Stratum, find_one: bool = False) -> list[Profile]:
 # -- public entry points ------------------------------------------------------
 
 
-def enumerate_profile_orientations(stratum: Stratum) -> tuple[list[int], list[Profile]]:
+def enumerate_profile_orientations(stratum: Stratum) -> tuple[list[int], list[profiles.Profile]]:
     """The profiles of the stratum in two parts: the pixels p with {p} in
     the stratum, in pixel order (the focused profile toward p is the
     principal orientation toward p), and the F-tangles, in search order."""
     return _focus_pixels(stratum), _f_tangles(stratum)
 
 
-def find_star_avoiding_orientation(stratum: Stratum) -> Profile | None:
+def find_star_avoiding_orientation(stratum: Stratum) -> profiles.Profile | None:
     """One consistent orientation avoiding void <=3-stars and single pixels."""
     hits = _f_tangles(stratum, find_one=True)
     return hits[0] if hits else None

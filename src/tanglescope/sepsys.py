@@ -8,7 +8,6 @@ each predicate below takes the pool's `full` mask explicitly.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -105,16 +104,20 @@ class SeparationPool:
         below k, in table order, as uint32; the first is index 0 (order 0),
         the pair of 0 and the full side.
 
-        A one-block table (at most 13 pixels) is its one row against k.
+        A one-block table (at most 13 pixels) is its one row against k,
+        two numpy calls; the chunked scan below makes about 25, a fixed
+        cost that is most of a stratum build on such small tables.
         Otherwise numpy reads the block minima one chunk at a time: it
-        picks the blocks whose minimum is below k and keys each by its
+        picks the blocks whose minimum is below k, keys each by its
         pattern and its threshold k - 1 - block_min[h], against which its
-        row is read.  Consecutive blocks of one key form a run, and each
-        distinct key is compared once, to the canonical offsets its blocks
-        share.  The sides are counted before one uint32 array is
-        allocated, and a stratum larger than the memory the process may
-        use raises CanvasSizeError instead.  Each run is then filled with
-        one broadcast XOR of its blocks' bases and its offsets."""
+        row is read, and counts the blocks of each distinct key with
+        `np.unique`.  Each distinct key is compared once, to the canonical
+        offsets its blocks share, and consecutive blocks of one key form a
+        run.  The sides are counted before one uint32 array is allocated,
+        and a stratum larger than the memory the process may use raises
+        CanvasSizeError instead.  Each run is then filled with one
+        broadcast XOR of its blocks' bases, built per chunk, and its
+        offsets."""
         table = self.wc.all_orders()
         canonical = self._canonical_offsets
         if len(table.block_min) == 1:   # block_min is [0]: one row, one pattern
@@ -122,33 +125,35 @@ class SeparationPool:
         bits = table.rows.shape[1].bit_length() - 1
         patterns = len(table.pattern)
         offsets: dict[int, np.ndarray] = {}   # by key
-        runs = []       # per chunk: its runs' first blocks, block counts and keys
+        runs = []       # per chunk: its start, its size, and its runs' first
+                        # blocks (in the chunk), block counts and keys
         need = 0
         for lo in range(0, len(table.block_min), 1 << _CHUNK_BITS):
             chunk = table.block_min[lo:lo + (1 << _CHUNK_BITS)]
             h = np.flatnonzero(chunk < k)
             key = ((k - 1 - chunk[h].astype(np.int64)) * patterns
                    + table.pattern[(h + lo) & (patterns - 1)])
-            for u, blocks in Counter(key.tolist()).items():
+            distinct, blocks = np.unique(key, return_counts=True)
+            for u, count in zip(distinct.tolist(), blocks.tolist()):
                 if u not in offsets:
                     threshold, row = divmod(u, patterns)
                     offsets[u] = canonical[table.rows[row] <= threshold]
-                need += 4 * blocks * len(offsets[u])
+                need += 4 * count * len(offsets[u])
             # the run edges: a block that starts a run, and the chunk's end
             edge = np.ones(len(h) + 1, bool)
             edge[1:-1] = (key[1:] != key[:-1]) | (h[1:] != h[:-1] + 1)
             edge = np.flatnonzero(edge)
             first = edge[:-1]
-            runs.append((h[first] + lo, edge[1:] - first, key[first]))
+            runs.append((lo, len(chunk), h[first], edge[1:] - first, key[first]))
         memory = canvas._physical_memory() if need > _PROBE_BYTES else None
         if memory is not None and need > memory:
             raise CanvasSizeError(
                 f"stratum {k} of {self.wc.npixels} pixels needs {need} bytes, more "
                 f"than the {memory} bytes of memory the process may use")
         sides = np.empty(need // 4, np.uint32)
-        bases = (np.arange(len(table.block_min), dtype=np.uint32) << bits)[:, None]
         at = 0
-        for firsts, counts, keys in runs:
+        for lo, size, firsts, counts, keys in runs:
+            bases = (np.arange(lo, lo + size, dtype=np.uint32) << bits)[:, None]
             for h, count, u in zip(firsts.tolist(), counts.tolist(), keys.tolist()):
                 row = offsets[u]
                 end = at + count * len(row)

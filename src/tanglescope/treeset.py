@@ -41,8 +41,8 @@ def min_distinguishers(p: Profile, q: Profile) -> frozenset[int]:
     """All minimum-order lines distinguishing p from q (the efficiency oracle)."""
     if not distinguishable(p, q):
         raise ValueError("profiles are not distinguishable")
-    order = p.pool.order_of
-    candidates = [c for c in p.pool.stratum(min(p.k, q.k)).pairs.tolist()
+    order = p.stratum.pool.order_of
+    candidates = [c for c in p.stratum.pool.stratum(min(p.k, q.k)).pairs.tolist()
                   if distinguishes(c, p, q)]
     best = min(map(order, candidates))
     return frozenset(c for c in candidates if order(c) == best)
@@ -102,7 +102,7 @@ def build_distinguishing_tree_set(profiles, pool: SeparationPool) -> TreeSet:
     must come from `pool`, whose order table ranks the lines.
     """
     profiles = sorted(set(profiles), key=Profile.key)
-    if any(p.pool is not pool for p in profiles):
+    if any(p.stratum.pool is not pool for p in profiles):
         raise ValueError("profiles from a different pool")
     pairs = []
     for i, p in enumerate(profiles):

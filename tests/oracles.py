@@ -277,14 +277,14 @@ def induces(p: Profile, q: Profile) -> bool:
     chosen sides of order below q.k."""
     if q.k > p.k:
         raise ValueError("a profile can only induce profiles of lower or equal order")
-    pool = p.pool
-    return q.pool is pool and q.chosen == {s for s in p.chosen if pool.order_of(s) < q.k}
+    pool = p.stratum.pool
+    return q.stratum.pool is pool and q.chosen == {s for s in p.chosen if pool.order_of(s) < q.k}
 
 
 def equivalent(p: Profile, q: Profile) -> bool:
     """Equivalence of profiles: the higher one induces the lower and is the
     only profile doing so at every intermediate level."""
-    if p.pool is not q.pool:
+    if p.stratum.pool is not q.stratum.pool:
         raise ValueError("profiles from different pools")
     if p.k == q.k:
         return p == q
@@ -292,7 +292,7 @@ def equivalent(p: Profile, q: Profile) -> bool:
     if restrict(hi, lo.k) != lo:
         return False
     for mid in range(lo.k, hi.k + 1):
-        inducing = [r for r in enumerate_profiles(hi.pool.stratum(mid))
+        inducing = [r for r in enumerate_profiles(hi.stratum.pool.stratum(mid))
                     if restrict(r, lo.k) == lo]
         if inducing != [restrict(hi, mid)]:
             return False

@@ -158,31 +158,34 @@ def _bad_principal(kind, stratum, p):
         light = next(q for q, order in enumerate(stratum.pool.pixel_orders)
                      if order < stratum.k)
         return principal(stratum, light)
+    good = principal(stratum, p)
+    if kind == "wrong length":
+        # a side missing: the bit form's malformed answer, refused when built
+        return Profile(stratum, good.bits[:-1])
     # the other side of the smallest chosen side whose complement is not a
     # single pixel: one side per pair still, and no single pixel
-    good = principal(stratum, p)
     full = stratum.full_mask
     side = min(s for s in good.chosen if (s ^ full).bit_count() > 1)
     flipped = stratum.pairs == (side ^ full if side & 1 else side)
     return Profile(stratum, good.bits ^ flipped)
 
 
-@pytest.mark.parametrize("kind", ["single-pixel side", "no common pixel"])
+@pytest.mark.parametrize("kind", ["single-pixel side", "wrong length", "no common pixel"])
 def test_find_f_tangle_rejects_bad_principal_hits(monkeypatch, kind):
     # mono2x2 k=2 is answered in closed form toward pixel 3, the one pixel
     # of order >= 2; the planted builder spoils that answer
     stratum = build_universe(fixture_canvas("mono2x2")).stratum(2)
     assert stratum.pool.pixel_orders == (0, 1, 1, 2)
-    bad = _bad_principal(kind, stratum, 3)
     built, checked = [], []
     monkeypatch.setattr(duality, "principal",
-                        lambda s, p: built.append(p) or bad)
+                        lambda s, p: built.append(p) or _bad_principal(kind, s, p))
     monkeypatch.setattr(duality, "is_profile",
                         lambda o: checked.append(o) or is_profile(o))
-    with pytest.raises(SearchDefect):
+    with pytest.raises(ValueError if kind == "wrong length" else SearchDefect):
         find_f_tangle(stratum)
     assert built == [3]
     if kind == "no common pixel":
+        bad = _bad_principal(kind, stratum, 3)
         # no single pixel is chosen, so only is_profile can catch it
         assert not any(s.bit_count() == 1 for s in bad.chosen)
         assert checked == [bad]

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -138,6 +139,12 @@ def test_profiles_compare_as_their_chosen_sides(wc):
     profs += [restrict(p, ell) for p in profs for ell in range(1, p.k)]
     for p in profs:
         assert not p.bits.flags.writeable and len(p.bits) == len(p.stratum.pairs)
+        # bits of another shape are refused, a single bit too: it would
+        # broadcast over the pairs
+        for bits in (p.bits[:-1], [*p.bits, True], p.bits[:, None], [True]):
+            if np.shape(bits) != p.bits.shape:
+                with pytest.raises(ValueError):
+                    Profile(p.stratum, bits)
         for q in profs:
             assert (p == q) == (p.stratum is q.stratum and p.chosen == q.chosen)
             if p == q:
