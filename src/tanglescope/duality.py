@@ -2,6 +2,7 @@
 the maximum supported resolution of a picture."""
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cache
 
@@ -40,6 +41,10 @@ def find_f_tangle(stratum: Stratum) -> Profile | None:
       as empty and the answer is None, with no search.  A tree that fails
       verification is an internal defect.
     - **Search.**  The rest run the find-one search.
+
+    `max_supported_resolution` calls this only at a level that its
+    bottom-up carving (`carve_chop_tree`) cannot settle, so a resolution
+    query settled by a carved tree builds no order table and no stratum.
 
     The easy half.  Let T be a verified chop tree at k and suppose an
     F-tangle t exists at k.  Every part of T has order below k, so t
@@ -170,6 +175,53 @@ def build_chop_tree(wc: WeightedCanvas, k: int,
     # the side array wait for the cyclic garbage collector
     chop = None
     return None if root is None else ChopTree(k, root.children)
+
+
+def carve_chop_tree(wc: WeightedCanvas, k: int) -> ChopTree | None:
+    """A chop tree at k carved bottom-up from the edge weights alone, or
+    None where this greedy carving finds none; it reads no order table.
+
+    It starts from the single pixels and repeatedly merges the two parts
+    joined by the heaviest total edge weight w(A, B) among those whose
+    union has order below k; ties go to the lower union order, then to
+    the lower union mask.  order(A | B) = order(A) + order(B) - 2 w(A, B),
+    as the edges between A and B leave the boundary.  Two parts remain as
+    the roots.  Parts that share no edge are never merged, and the greedy
+    order can miss a tree that exists, so None proves nothing: the exact
+    `build_chop_tree` decides such a level.  A one-pixel canvas is its
+    one leaf, as in `build_chop_tree`."""
+    nodes = {1 << p: ChopNode(1 << p, ()) for p in range(wc.npixels)}
+    order = dict.fromkeys(nodes, 0)
+    joined: dict[int, dict[int, int]] = {p: {} for p in nodes}   # by part: w to each neighbour
+    for (p, q), d in zip(wc.canvas.edges, wc.delta):
+        p, q, w = 1 << p, 1 << q, wc.N - d
+        order[p] += w
+        order[q] += w
+        joined[p][q] = joined[q][p] = joined[p].get(q, 0) + w
+    if max(order.values()) >= k:
+        return None
+    while len(nodes) > 2:
+        best = None
+        for a, around in joined.items():
+            for b, w in around.items():
+                if a < b:
+                    union = order[a] + order[b] - 2 * w
+                    if union < k and (best is None or (-w, union, a | b) < best[0]):
+                        best = (-w, union, a | b), a, b
+        if best is None:
+            return None
+        (_, union, merged), a, b = best
+        order[merged] = union
+        nodes[merged] = ChopNode(merged, (nodes.pop(a), nodes.pop(b)))
+        around = joined[merged] = {}
+        for half in (a, b):
+            for c, w in joined.pop(half).items():
+                del joined[c][half]
+                if not c & merged:
+                    around[c] = around.get(c, 0) + w
+        for c, w in around.items():
+            joined[c][merged] = w
+    return ChopTree(k, tuple(nodes.values()))
 
 
 @dataclass(frozen=True)
@@ -322,14 +374,29 @@ def max_supported_resolution(wc: WeightedCanvas, subset: int | None = None,
     The answer is at least m = max_p order({p}): at every k <= m the
     principal orientation toward a pixel of order m is an F-tangle (see
     `find_f_tangle`), and no chop tree exists, since that pixel's leaf
-    would have order >= k.  So the sweep starts at k = m + 1.  There,
-    `find_f_tangle` decides a level by a verified chop tree where one
-    exists, and by the search only where none does."""
+    would have order >= k.  So the sweep starts at k = m + 1.  At each
+    level it first tries `carve_chop_tree`, a greedy bottom-up carving
+    from the edge weights; a carved tree that `verify_chop_tree` accepts
+    proves that no F-tangle exists there, and the answer is k - 1.  The
+    verifier reads each order through `SeparationPool.order_of`, which
+    sums the boundary (`WeightedCanvas.order`) while the canvas has no
+    table, not off the carving's own sums, and a carved tree that fails
+    it is an internal defect.  So a query settled by a carving reads no order
+    table and builds no stratum.  Only a level that the carving cannot
+    settle builds its stratum, and `find_f_tangle` decides it, by a
+    verified chop tree where one exists and by the search only where none
+    does.  No bound on k is needed: at k above the largest order the
+    stratum is the full universe, on which `find_f_tangle` answers None."""
     if subset is not None:
         wc = induced_subcanvas(wc, subset)
     pool = build_universe(wc, pixel_cap)
     best = max(pool.pixel_orders)
-    for k in range(best + 1, pool.max_order + 2):
+    for k in itertools.count(best + 1):
+        tree = carve_chop_tree(wc, k)
+        if tree is not None:
+            if not verify_chop_tree(tree, wc, pool).ok:
+                raise SearchDefect(f"the carved chop tree at k={k} failed verification")
+            break
         # existence is downward-closed in k (restrictions of unfocused
         # profiles are unfocused), so stop at the first failure
         if find_f_tangle(pool.stratum(k)) is None:

@@ -106,6 +106,10 @@ all of which are in F (the easy half of the duality theorem; the proof
 is in `find_f_tangle`).  The find-one search is left the levels without
 a tree, which are exactly the levels with an F-tangle, and the strata
 above `duality.CHOP_TREE_PAIR_LIMIT` pairs, where no tree is tried.
+A resolution query (`duality.max_supported_resolution`) reaches
+`find_f_tangle` only at a level that its bottom-up carving
+(`duality.carve_chop_tree`) cannot settle; a level settled by a verified
+carved tree reads no order table and builds no stratum.
 
 The leaf check borrows `profiles.is_profile` and holds the one copy of
 the shared-pixel certificate, which `duality.find_f_tangle` also runs on

@@ -58,6 +58,14 @@ class SeparationPool:
         return self.wc.all_orders().block_min.tolist()
 
     def order_of(self, side: int) -> int:
+        """The order of a side: read off the canvas's order table once
+        that exists, and summed over the side's boundary
+        (`WeightedCanvas.order`) before, so that reading an order never
+        builds a table.  A resolution query settled by a carved chop tree
+        reads its pixel orders and its verifier's orders so, with no
+        table."""
+        if not self.wc._order_cache:
+            return self.wc.order(side)
         if side >> self._top:
             side ^= self.full_mask
         row_starts, period, rows, bits, offset = self._rows

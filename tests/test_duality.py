@@ -27,7 +27,7 @@ from tanglescope import (Profile, WeightedCanvas, analyze, build_chop_tree,
                          build_universe, enumerate_profiles, find_f_tangle, is_focused,
                          is_profile, max_supported_resolution, verify_chop_tree,
                          verify_duality)
-from tanglescope.duality import ChopNode, ChopTree, induced_subcanvas
+from tanglescope.duality import ChopNode, ChopTree, carve_chop_tree, induced_subcanvas
 from tanglescope.fixtures import fixture_canvas, noisedisc_masks
 from tanglescope.profiles import f_tangles, principal
 from tanglescope.search import SearchDefect, find_star_avoiding_orientation
@@ -224,6 +224,18 @@ def test_find_f_tangle_rejects_unverified_chop_tree(monkeypatch, wc_mono):
     with pytest.raises(SearchDefect):
         find_f_tangle(stratum)
     assert 3 not in stratum.pool._f_tangles
+
+
+def test_resolution_rejects_unverified_carved_tree(monkeypatch, wc_mono):
+    # the same planted tree, carved at mono2x2's first unprincipal level:
+    # the query raises instead of answering, and nothing falls through to
+    # the exact path
+    leaf = {p: ChopNode(1 << p, ()) for p in range(4)}
+    bad = ChopTree(3, (ChopNode(0b0111, (leaf[0], leaf[1])), leaf[3], leaf[2]))
+    monkeypatch.setattr(duality, "carve_chop_tree", lambda wc, k: bad)
+    monkeypatch.setattr(duality, "find_f_tangle", lambda stratum: pytest.fail("exact path"))
+    with pytest.raises(SearchDefect):
+        max_supported_resolution(wc_mono)
 
 
 def _swept_resolution(wc):
@@ -643,3 +655,73 @@ def test_resolution_is_the_weighted_carving_width(wc, removed):
     for k in range(1, pool.max_order + 2):
         assert (verify_duality(pool, k).f_tangle is not None) == (k <= width)
         assert (build_chop_tree(wc, k, pool) is not None) == (width < k)
+
+
+@settings(deadline=None, max_examples=100)
+@given(random_weighted(max_pixels=10), st.sets(st.integers(0, 9), max_size=3))
+def test_carved_trees_verify_above_the_carving_width(wc, removed):
+    # the bottom-up carving is sound: every tree it returns passes the
+    # verifier, which reads each order off the cut definition here (the
+    # canvas has no table), so trees appear only at k > width.  Induced
+    # subcanvases as in test_resolution_is_the_weighted_carving_width
+    wc = induced_subcanvas(wc, wc.full_mask & ~sum(1 << p for p in removed) or wc.full_mask)
+    width = carving_width(wc)
+    top = build_universe(WeightedCanvas(wc.picture, wc.delta, wc.N)).max_order
+    pool = build_universe(wc)
+    for k in range(1, top + 2):
+        tree = carve_chop_tree(wc, k)
+        if tree is not None:
+            assert tree.k == k and verify_chop_tree(tree, wc, pool).ok
+            assert k > width
+    assert not wc._order_cache
+
+
+def _dot5x5():
+    return picture(5, 5, [int(p == 12) for p in range(25)], pixel_cap=25)
+
+
+@pytest.mark.parametrize("wc, k, cap", [
+    # three components: the carving never merges parts that share no edge
+    (induced_subcanvas(weighted(lambda: picture(3, 3, [0, 2, 0, 3, 2, 1, 1, 0, 2], n=2)),
+                       0x16A), 2, 20),
+    # a connected 25-px glyph where the greedy merge order misses the tree
+    (weighted(_dot5x5), 5, 25),
+], ids=["three-components", "dot5x5"])
+def test_resolution_falls_back_where_the_carving_fails(wc, k, cap):
+    # a chop tree exists at k but the carving finds none, so the level goes
+    # to the exact path, and the answer is still k - 1
+    pool = build_universe(wc, pixel_cap=cap)
+    assert carve_chop_tree(wc, k) is None
+    assert build_chop_tree(wc, k, pool) is not None
+    assert find_f_tangle(pool.stratum(k - 1)) is not None
+    expected = (carving_width(wc) if wc.npixels <= 10
+                else analyze(wc, pixel_cap=cap)[0]["duality"]["max_supported_resolution"])
+    assert max_supported_resolution(wc, pixel_cap=cap) == expected == k - 1
+
+
+def test_carved_resolution_builds_no_table_and_no_cycle(monkeypatch):
+    # a query settled by a carved tree builds no order table and no
+    # stratum, hence no pool reference cycle (pool, strata): with gc off,
+    # nothing is left for the collector.  The flat 8x4 would need an
+    # 8 GiB stratum 1; carved, it answers 0 with no table
+    block, rest = noisedisc_masks()
+    cases = [(fixture_canvas("mono2x2"), None), (fixture_canvas("noisedisc4x4"), block),
+             (fixture_canvas("noisedisc4x4"), rest), (fixture_canvas("noisedisc4x4"), None)]
+    expected = [_swept_resolution(w if subset is None else induced_subcanvas(w, subset))
+                for w, subset in cases] + [0]
+    # fresh canvases: the sweep above built the tables of mono2x2 and noisedisc4x4
+    cases = [(WeightedCanvas(w.picture, w.delta, w.N), subset, 20) for w, subset in cases]
+    cases.append((WeightedCanvas.from_picture(picture(8, 4, [0] * 32, pixel_cap=32)), None, 32))
+
+    def no_table(self):
+        raise AssertionError("a carved query built an order table")
+    monkeypatch.setattr(WeightedCanvas, "all_orders", no_table)
+    gc.collect()
+    gc.disable()
+    try:
+        got = [max_supported_resolution(w, subset=subset, pixel_cap=cap)
+               for w, subset, cap in cases]
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert got == expected

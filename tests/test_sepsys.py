@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import tracemalloc
 from itertools import combinations
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -32,6 +33,23 @@ def test_order_of_folds_sides_with_the_top_pixel(wc):
     assert [pool.order_of(s) for s in range(wc.full_mask + 1)] == \
         [wc.order(s) for s in range(wc.full_mask + 1)]
     assert pool.pixel_orders[-1] == wc.order(1 << (wc.npixels - 1))
+
+
+@settings(deadline=None, max_examples=60)
+@given(random_weighted(max_pixels=10))
+def test_order_of_sums_the_boundary_until_the_table_exists(wc):
+    # before the table: the cut definition, and no table is built; after:
+    # the table read, through the oracle's independent reading of it
+    pool = build_universe(wc)
+    sides = range(wc.full_mask + 1)
+    assert [pool.order_of(s) for s in sides] == [wc.order(s) for s in sides]
+    assert not wc._order_cache
+    orders = full_orders(wc)
+
+    def no_sum(self, side):
+        raise AssertionError("order_of summed a boundary beside a table")
+    with patch.object(WeightedCanvas, "order", no_sum):
+        assert [pool.order_of(s) for s in sides] == orders.tolist()
 
 
 def test_nestedness(pool_mono):
