@@ -9,7 +9,7 @@ from functools import cache
 import numpy as np
 
 from .canvas import DEFAULT_PIXEL_CAP, Canvas, Picture, WeightedCanvas
-from .profiles import Profile, is_focused, is_profile, principal
+from .profiles import Profile, principal
 from .search import SearchDefect, _shares_pixel_certificate, find_star_avoiding_orientation
 from .sepsys import (SeparationPool, Stratum, build_universe, laminar_sides,
                      star_sides, void_sides)
@@ -33,14 +33,17 @@ def find_f_tangle(stratum: Stratum) -> Profile | None:
       and no set of its sides is void, and it chooses no single pixel,
       since the only candidate, {p}, is not in the stratum.  It is also an
       unfocused profile, as for chosen x and y the side (x & y)* misses p.
-    - **Listed level.**  A level the pool has already listed (`f_tangles`)
-      answers with the first of them.
+      The answer gets the O(pairs) certificate of this argument
+      (`_shares_pixel_certificate`), and one that fails it is an internal
+      defect.
     - **Chop tree.**  On a stratum of at most CHOP_TREE_PAIR_LIMIT pairs,
       a chop tree that `verify_chop_tree` accepts proves that no F-tangle
-      exists (the easy half of the duality theorem).  The level is listed
-      as empty and the answer is None, with no search.  A tree that fails
-      verification is an internal defect.
-    - **Search.**  The rest run the find-one search.
+      exists (the easy half of the duality theorem, below).  The level is
+      listed as empty and the answer is None, with no search.  A tree
+      that fails verification is an internal defect.
+    - **Search.**  The rest run the find-one search.  Its hit is returned
+      as found: the search keeps only leaves that its own leaf check has
+      certified as F-tangles (see `search`).
 
     `max_supported_resolution` calls this only at a level that its
     bottom-up carving (`carve_chop_tree`) cannot settle, so a resolution
@@ -56,39 +59,24 @@ def find_f_tangle(stratum: Stratum) -> Profile | None:
     which is in F too.  Either way t does not avoid F, a contradiction.
     A one-pixel canvas has the one root {p}, the full side, which every
     orientation chooses.
-
-    Every hit is checked before it is returned.  A hit whose chosen sides
-    share a pixel gets the O(pairs) certificate of the heavy-pixel
-    argument (`_shares_pixel_certificate`); any other hit gets
-    `is_focused` and `is_profile`.  A hit failing them is an internal
-    defect.
     """
     pool = stratum.pool
     k = stratum.k
     heavy = [p for p, order in enumerate(pool.pixel_orders) if order >= k]
-    listed = pool._f_tangles.get(k)
     if heavy:
         hit = principal(stratum, heavy[0])
-    elif listed is not None:
-        hit = listed[0] if listed else None
-    else:
-        tree, report = (_checked_chop_tree(pool, k)
-                        if len(stratum.pairs) <= CHOP_TREE_PAIR_LIMIT else (None, None))
-        if tree is not None:
-            if not report.ok:
-                raise SearchDefect(f"the chop tree at k={k} failed verification")
-            pool._f_tangles[k] = ()
-            return None
-        hit = find_star_avoiding_orientation(stratum)
-    if hit is None or _shares_pixel_certificate(hit):
+        if not _shares_pixel_certificate(hit):
+            raise SearchDefect(f"the principal orientation toward pixel {heavy[0]} "
+                               f"failed its certificate at k={k}")
         return hit
-    # this covers F-avoidance: single pixels fail as focused, and a void
-    # <=3-star of an orientation is {x, y, (x & y)*}, a profile violation
-    if is_focused(hit):
-        raise SearchDefect("F-tangle search returned a focused orientation")
-    if not is_profile(hit):
-        raise SearchDefect("F-tangle search returned a non-profile")
-    return hit
+    tree, report = (_checked_chop_tree(pool, k)
+                    if len(stratum.pairs) <= CHOP_TREE_PAIR_LIMIT else (None, None))
+    if tree is not None:
+        if not report.ok:
+            raise SearchDefect(f"the chop tree at k={k} failed verification")
+        pool._f_tangles[k] = ()
+        return None
+    return find_star_avoiding_orientation(stratum)
 
 
 # -- chop trees ---------------------------------------------------------------
@@ -245,10 +233,7 @@ def verify_chop_tree(tree: ChopTree, wc: WeightedCanvas,
     parts = [n.part for n in nodes]
 
     laminar = laminar_sides(parts, full)
-    orders_below_k = all(
-        pool.order_of(n.part) < tree.k for n in nodes if 0 < n.part < full
-    ) and (len(tree.roots) == 1
-           or all(pool.order_of(r.part) < tree.k for r in tree.roots))
+    orders_below_k = all(pool.order_of(n.part) < tree.k for n in nodes if 0 < n.part < full)
 
     leaf_parts = [n.part for n in nodes if not n.children]
     union = 0

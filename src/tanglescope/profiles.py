@@ -85,7 +85,9 @@ def principal(stratum: Stratum, pixel: int) -> Profile:
 def is_profile(o: Profile) -> bool:
     """Definition-level profile check, independent of the search engine.
     It reads `o.stratum` and the set `o.chosen` alone, so it also takes
-    any object holding a stratum and a set of chosen sides."""
+    any object holding a stratum and a set of chosen sides.  Quadratic in
+    the pairs; no analysis path calls it, or `is_focused`: they are the
+    reference for the tests and for the benchmark's resolution check."""
     full = o.stratum.full_mask
     chosen = o.chosen
     if full not in chosen or 0 in chosen:

@@ -17,14 +17,41 @@ Each rule is a direct consequence of the orientation property being
 searched for, so forcing never prunes an orientation sought.  It is not
 complete, though: a side forced as a superset runs no co-pointing check
 (below), so a complete assignment can still hold a star {r, s, (r & s)*}.
-Every leaf is therefore certified before it is kept (`_certified_leaf`):
-by the shared-pixel certificate where its chosen sides share a pixel
-(one `np.bitwise_and.reduce` over the chosen-side array and a
-single-pixel test), and by the definition-level `profiles.is_profile`
-otherwise.  A
-leaf failing both is dropped and counted (`dropped`), and a find-one
-search goes on past it.  A certified leaf is an F-tangle, as
-single-pixel sides were rejected on assignment.
+Every leaf is therefore checked before it is kept: first by the
+shared-pixel certificate, where its chosen sides share a pixel (one
+`np.bitwise_and.reduce` over the chosen-side array and a single-pixel
+test), and otherwise by `_AssignmentSearch._closed_under_co_pointing`,
+the co-pointing rule run on every two chosen sides.  A leaf failing both
+is dropped and counted (`dropped`), and a find-one search goes on past
+it.  A kept leaf is an F-tangle, and nothing checks it again:
+
+- a leaf is consistent by construction, as the chosen sides stay
+  up-closed in the stratum: every stratum superset of a chosen side is
+  chosen.  Suppose they are before a popped side s is assigned.  A popped
+  side whose pair holds its other side is a conflict, and superset
+  forcing assigns only free pairs, so a superset t of s whose pair is
+  assigned already holds t: were t* chosen, its superset s* would be
+  chosen too, and s a conflict.  A side forced as a superset forces
+  nothing itself, but its supersets are supersets of s, all chosen now.
+  So two chosen sides x, y of distinct pairs are never disjoint, or y
+  would put its superset x* beside x;
+- a consistent orientation O of a stratum S_k of a submodular order is a
+  profile exactly when, for any two chosen sides r, s with r | s = full
+  whose intersection's pair lies in S_k, r & s is chosen.  The profile
+  condition says (r & s)* is not chosen, and O orients that pair.
+  Conversely, let chosen x, y have z = (x & y)* chosen.  Submodularity
+  and order(A) = order(A*) give order(x & y*) + order(x* & y) <=
+  order(x) + order(y) < 2k, so one of them, say x & y*, lies in S_k.
+  Then x and z co-point, and x & z = x & y* is nonempty (or z = x*)
+  and misses the chosen y, so it is y* or a side that consistency keeps
+  out: either way it is not chosen, and the rule fails at (x, z).
+  Canvas orders are cut functions with weights N - delta >= 0
+  (`WeightedCanvas.from_picture`), so they are submodular;
+- single-pixel sides are rejected on assignment, and a superset of a
+  side of two or more pixels is no single pixel, so a leaf passing the
+  rule is an unfocused profile, an F-tangle.  The shared-pixel
+  certificate is the heavy-pixel argument of `duality.find_f_tangle`: it
+  is sufficient, and it costs O(pairs).
 
 The assignment is two Python-int bitsets over the pair indices and
 nothing else: `as_c` holds the pairs whose canonical side (the one
@@ -87,36 +114,23 @@ F-tangle, which it reads off the pixels' orders
 (`profiles.focused_children`).
 
 The find-one search is left only the levels where a non-principal
-F-tangle could be the answer.  Where some pixel p has order({p}) >= k,
-both sides of the duality follow from the definitions:
-
-- the principal orientation toward p is an F-tangle: any two of its
-  chosen sides share p, so it is consistent and no set of its sides is
-  void, and the one single pixel it could choose, {p}, is not in the
-  stratum.  It is also an unfocused profile, as for chosen x and y the
-  side (x & y)* misses p.  `duality.find_f_tangle` returns it unsearched;
-- no chop tree exists, since its leaf {p} would be a part of order
-  >= k.  `duality.build_chop_tree` returns None unsearched.
-
-So the search decides only levels where every {p} lies in the stratum.
-Of those, `duality.find_f_tangle` settles every level that has a chop
-tree with that tree, once `duality.verify_chop_tree` accepts it: an
-F-tangle would have to choose one of the tree's void 3-stars or leaves,
-all of which are in F (the easy half of the duality theorem; the proof
-is in `find_f_tangle`).  The find-one search is left the levels without
-a tree, which are exactly the levels with an F-tangle, and the strata
-above `duality.CHOP_TREE_PAIR_LIMIT` pairs, where no tree is tried.
+F-tangle could be the answer.  `duality.find_f_tangle` answers a level
+where some pixel p has order({p}) >= k with the principal orientation
+toward p, and a level with a chop tree that `duality.verify_chop_tree`
+accepts with None; its docstring proves both, the heavy-pixel argument
+and the easy half of the duality theorem.  So the search decides only
+levels where every {p} lies in the stratum and no tree exists, which are
+exactly the levels with a non-principal F-tangle, and the strata above
+`duality.CHOP_TREE_PAIR_LIMIT` pairs, where no tree is tried.
 A resolution query (`duality.max_supported_resolution`) reaches
 `find_f_tangle` only at a level that its bottom-up carving
 (`duality.carve_chop_tree`) cannot settle; a level settled by a verified
 carved tree reads no order table and builds no stratum.
 
-The leaf check borrows `profiles.is_profile` and holds the one copy of
-the shared-pixel certificate, which `duality.find_f_tangle` also runs on
-every F-tangle hit, with `profiles.is_focused` and `is_profile` for a
-hit whose sides share no pixel.  The test suite compares the search and
-the assembled profiles against brute-force oracles, and the profiles
-against the F'-tangles of the frozen reference search in `tests/oracles.py`.
+The test suite compares the leaf check with the definition-level profile
+predicate, the search and the assembled profiles with brute-force
+oracles, and the profiles with the F'-tangles of the frozen reference
+search in `tests/oracles.py`.
 """
 from __future__ import annotations
 
@@ -153,19 +167,13 @@ def _shares_pixel_certificate(p: profiles.Profile) -> bool:
     """True when one pixel lies in every side the orientation chooses and
     none of them is a single pixel.  Such an orientation is an unfocused
     profile: any two chosen sides x, y share the pixel, so they are not
-    disjoint and (x & y)*, which misses it, is not chosen.  O(pairs),
-    where `is_profile` is quadratic.  The full side is no single pixel
-    here: every stratum of a 1-pixel canvas is a full universe, which has
-    no F-tangle to certify (`_f_tangles`)."""
+    disjoint and (x & y)*, which misses it, is not chosen.  O(pairs).
+    The full side is no single pixel here: every stratum of a 1-pixel
+    canvas is a full universe, which has no F-tangle to certify
+    (`_f_tangles`)."""
     sides = p.sides()
     return (int(np.bitwise_and.reduce(sides, initial=p.stratum.full_mask)) != 0
             and np.count_nonzero(sides & (sides - 1)) == len(sides))
-
-
-def _certified_leaf(p: profiles.Profile) -> bool:
-    """The leaf check: the shared-pixel certificate, or else the
-    definition-level `profiles.is_profile`."""
-    return _shares_pixel_certificate(p) or profiles.is_profile(p)
 
 
 class _AssignmentSearch:
@@ -260,6 +268,26 @@ class _AssignmentSearch:
                 chose_d = bytearray(self.as_d.to_bytes(width, "little"))
         return True
 
+    def _closed_under_co_pointing(self) -> bool:
+        """The leaf check behind the shared-pixel certificate, on a complete
+        assignment: True when, for every two co-pointing chosen sides s and
+        y whose intersection's pair lies in the stratum, s & y is chosen.
+        On the engine's leaves, which are consistent, that is the profile
+        condition (see the module docstring).  Each unordered pair of sides
+        is visited once, from its earlier side in search order: the
+        co-pointing chosen sides are the chosen supersets of s*."""
+        full, pairs, index = self.full, self.pairs, self.index
+        sides = [c if b else c ^ full
+                 for c, b in zip(pairs, _bit_array(self.as_c, len(pairs)).tolist())]
+        for i, s in enumerate(sides):
+            sup_c, sup_d = self._supersets(s ^ full)
+            for py in _bits(((sup_c & self.as_c) | (sup_d & self.as_d)) >> (i + 1)):
+                j = sides[i + 1 + py] & s
+                pj = index.get(j ^ full if j & 1 else j)
+                if pj is not None and sides[pj] != j:
+                    return False
+        return True
+
     def run(self, find_one: bool = False) -> list[profiles.Profile]:
         results: list[profiles.Profile] = []
         # decision frames (pair index, sides left to try (the larger side is
@@ -271,7 +299,7 @@ class _AssignmentSearch:
             free = (self.all ^ (self.as_c | self.as_d)) >> start
             if not free:
                 leaf = profiles.Profile(self.stratum, _bit_array(self.as_c, len(self.pairs))[self.rank])
-                if _certified_leaf(leaf):
+                if _shares_pixel_certificate(leaf) or self._closed_under_co_pointing():
                     results.append(leaf)
                     if find_one:
                         return results

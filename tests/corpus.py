@@ -88,6 +88,25 @@ def defect5x4():
                           for r, c in product(range(4), range(5))])
 
 
+def random4x3():
+    # random.Random(32).randrange(4) per pixel: one of its six F-tangles on
+    # the 19 pairs of level 4 chooses sides that share no pixel, so the
+    # search's leaf check runs the co-pointing rule on it
+    return picture(4, 3, [0, 1, 1, 2,
+                          1, 3, 0, 0,
+                          0, 2, 2, 0], n=2)
+
+
+def random6x5():
+    # random.Random(1).randrange(4) per pixel, 30 px (pixel_cap=30): an
+    # F-tangle whose sides share no pixel, on the 10,911 pairs of level 6
+    return picture(6, 5, [1, 0, 2, 0, 3, 3,
+                          3, 3, 1, 0, 3, 0,
+                          3, 3, 0, 3, 2, 1,
+                          0, 2, 0, 0, 0, 0,
+                          3, 1, 3, 0, 1, 3], n=2, pixel_cap=30)
+
+
 SMALL_PICTURES = {
     "mono2x2": lambda: fixture("mono2x2"),
     "white2x2": white2x2,

@@ -15,9 +15,10 @@ check the footnote equivalence, profiles = F'-tangles.
 
 The second part holds definitions that no analysis path needs: the order
 of every subset as one table, every side of a stratum as a set, any set
-of chosen sides as an orientation, the
-standard star set F as an explicit set, principality, induction,
-equivalence of profiles and the complete profile levels.
+of chosen sides as an orientation, a profile planted as a search
+engine's assignment, the standard star set F as an explicit set,
+principality, induction, equivalence of profiles and the complete
+profile levels.
 
 `carving_width` stands apart from both: the weighted carving width by a
 subset recursion, with its own edge-sum orders, against which the tests
@@ -258,6 +259,13 @@ def orientation_of(stratum: Stratum, chosen) -> Orientation:
 def profile_of(stratum: Stratum, chosen) -> Profile:
     """The bit form of a set holding one side of every pair."""
     return Profile(stratum, [c in chosen for c in stratum.pairs.tolist()])
+
+
+def plant(engine, p: Profile) -> None:
+    """Set a search engine's assignment to the complete orientation p, in
+    the engine's search order, as if its search had reached p as a leaf."""
+    engine.as_c = sum(1 << r for r, b in zip(engine.rank.tolist(), p.bits.tolist()) if b)
+    engine.as_d = engine.all ^ engine.as_c
 
 
 def is_principal(p: Orientation) -> bool:

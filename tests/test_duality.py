@@ -18,11 +18,13 @@ from hypothesis import strategies as st
 import tanglescope.duality as duality
 import tanglescope.profiles as profiles_module
 import tanglescope.report as report_module
+import tanglescope.search as search_module
 from corpus import (TWELVE_PIXEL_PICTURES, defect4x4, dot4x5, lshape3x3, one_pixel,
                     picture, random_weighted, weighted)
 from oracles import (ReferenceSearch, StarSetF, _consistent, all_orientations,
                      carving_width, full_orders, is_principal, members,
-                     naive_fprime_stars, naive_tangles, orientation_of, profile_of)
+                     naive_fprime_stars, naive_tangles, orientation_of, plant,
+                     profile_of)
 from tanglescope import (Profile, WeightedCanvas, analyze, build_chop_tree,
                          build_universe, enumerate_profiles, find_f_tangle, is_focused,
                          is_profile, max_supported_resolution, verify_chop_tree,
@@ -31,6 +33,7 @@ from tanglescope.duality import ChopNode, ChopTree, carve_chop_tree, induced_sub
 from tanglescope.fixtures import fixture_canvas, noisedisc_masks
 from tanglescope.profiles import f_tangles, principal
 from tanglescope.search import SearchDefect, find_star_avoiding_orientation
+from tanglescope.sepsys import consistent_sides
 
 
 def test_standard_f_membership(pool_mono):
@@ -105,12 +108,6 @@ def _mono2x2():
     return fixture_canvas("mono2x2")
 
 
-def _flat5x1():
-    # stratum 1 is the full universe of 5 pixels (15 pairs).  No full
-    # universe of at most 4 pixels has an unfocused inconsistent orientation
-    return weighted(lambda: picture(5, 1, [0] * 5))
-
-
 def _unprincipal_stratum(canvas, k):
     # a level the closed form leaves alone, so a planted hit is read
     stratum = build_universe(canvas()).stratum(k)
@@ -118,38 +115,74 @@ def _unprincipal_stratum(canvas, k):
     return stratum
 
 
-@pytest.mark.parametrize("canvas, k, wanted", [
-    (_mono2x2, 3, lambda cons, prof, foc: prof and foc),
-    (_flat5x1, 1, lambda cons, prof, foc: not cons and not foc),
-    (_mono2x2, 3, lambda cons, prof, foc: cons and not prof and not foc),
-], ids=["focused", "inconsistent", "non-profile"])
-def test_find_f_tangle_rejects_bad_hits(monkeypatch, canvas, k, wanted):
-    stratum = _unprincipal_stratum(canvas, k)
-    bad = profile_of(stratum, _first_orientation(stratum, wanted))
-    searched = []
-    # both levels have a chop tree, which would settle them unsearched:
-    # hide it, so that the planted hit comes from the search
-    assert build_chop_tree(stratum.pool.wc, k, stratum.pool) is not None
+def _plant_search(monkeypatch, bad):
+    """Make the find-one search start from the planted orientation, with
+    chop trees hidden so that the level is searched; returns the engines
+    made.  A planted orientation that the engine's construction allows
+    (consistent, no single pixel) is set whole, as if forcing had skipped
+    its checks, and the leaf check alone decides it; any other is decided
+    through the engine's propagation, one side at a time."""
+    engines = []
+    sides = bad.sides().tolist()
+    whole = (consistent_sides(sides, bad.stratum.full_mask)
+             and all(s.bit_count() > 1 for s in sides))
+
+    class Planted(search_module._AssignmentSearch):
+        def run(self, find_one=False):
+            engines.append(self)
+            if whole:
+                plant(self, bad)
+            elif not all(self._propagate(s) for s in sides):
+                return []
+            return super().run(find_one)
+
+    monkeypatch.setattr(search_module, "_AssignmentSearch", Planted)
     monkeypatch.setattr(duality, "build_chop_tree", lambda wc, k, pool: None)
-    monkeypatch.setattr(duality, "find_star_avoiding_orientation",
-                        lambda s: searched.append(s) or bad)
-    with pytest.raises(SearchDefect):
-        find_f_tangle(stratum)
-    assert searched == [stratum]
+    return engines
 
 
-@pytest.mark.parametrize("canvas, k, wanted", [
-    (_flat5x1, 1, lambda cons, prof, foc: not cons and not foc),
-    (_mono2x2, 3, lambda cons, prof, foc: cons and not prof and not foc),
-    (_mono2x2, 3, lambda cons, prof, foc: not prof and foc),
-], ids=["inconsistent", "non-profile", "focused-non-profile"])
-def test_find_f_tangle_rejects_bad_listed_hits(canvas, k, wanted):
-    # a level the pool has enumerated answers from its list, under the
-    # same re-check as the search
-    stratum = _unprincipal_stratum(canvas, k)
-    stratum.pool._f_tangles[k] = (profile_of(stratum, _first_orientation(stratum, wanted)),)
-    with pytest.raises(SearchDefect):
-        find_f_tangle(stratum)
+def _stripe5x1():
+    # pixel orders (1, 3, 3, 2, 1) and largest order 5, so level 4 is
+    # searched (no full universe, no heavy pixel) over 11 pairs, few enough
+    # for `_first_orientation`.  It has a chop tree and no F-tangle
+    return WeightedCanvas.from_picture(picture(5, 1, [1, 0, 0, 1, 0]), 2)
+
+
+_BAD_HITS = {
+    "focused": lambda cons, prof, foc: prof and foc,
+    "inconsistent": lambda cons, prof, foc: not cons and not foc,
+    "non-profile": lambda cons, prof, foc: cons and not prof and not foc,
+    "focused-non-profile": lambda cons, prof, foc: not prof and foc,
+}
+
+
+@pytest.mark.parametrize("kind", ["focused", "inconsistent", "non-profile"])
+def test_find_f_tangle_rejects_bad_hits(monkeypatch, kind):
+    # find_f_tangle returns the search's hit as found, so the search keeps
+    # no bad leaf: a focused or inconsistent one conflicts in propagation,
+    # and a consistent non-profile fails the leaf check
+    stratum = _unprincipal_stratum(_stripe5x1, 4)
+    bad = profile_of(stratum, _first_orientation(stratum, _BAD_HITS[kind]))
+    engines = _plant_search(monkeypatch, bad)
+    assert find_f_tangle(stratum) is None
+    (engine,) = engines
+    assert engine.dropped == (kind == "non-profile")
+
+
+@pytest.mark.parametrize("kind", ["inconsistent", "non-profile", "focused-non-profile"])
+def test_find_f_tangle_rejects_bad_listed_hits(monkeypatch, kind):
+    # find_f_tangle reads no list of the level's F-tangles: a bad
+    # orientation planted in the pool's list is not returned, and the
+    # level's verified chop tree answers; planted as the search's first
+    # leaf, it is not returned either
+    stratum = _unprincipal_stratum(_stripe5x1, 4)
+    bad = profile_of(stratum, _first_orientation(stratum, _BAD_HITS[kind]))
+    stratum.pool._f_tangles[4] = (bad,)
+    assert find_f_tangle(stratum) is None
+    assert stratum.pool._chop_trees[4][0] is not None
+    stratum = _unprincipal_stratum(_stripe5x1, 4)
+    engines = _plant_search(monkeypatch, profile_of(stratum, bad.chosen))
+    assert find_f_tangle(stratum) is None and len(engines) == 1
 
 
 def _bad_principal(kind, stratum, p):
@@ -173,22 +206,25 @@ def _bad_principal(kind, stratum, p):
 @pytest.mark.parametrize("kind", ["single-pixel side", "wrong length", "no common pixel"])
 def test_find_f_tangle_rejects_bad_principal_hits(monkeypatch, kind):
     # mono2x2 k=2 is answered in closed form toward pixel 3, the one pixel
-    # of order >= 2; the planted builder spoils that answer
+    # of order >= 2; the planted builder spoils that answer, and the
+    # closed form's certificate, with no definition-level check, catches it
     stratum = build_universe(fixture_canvas("mono2x2")).stratum(2)
     assert stratum.pool.pixel_orders == (0, 1, 1, 2)
     built, checked = [], []
     monkeypatch.setattr(duality, "principal",
                         lambda s, p: built.append(p) or _bad_principal(kind, s, p))
-    monkeypatch.setattr(duality, "is_profile",
+    monkeypatch.setattr(profiles_module, "is_profile",
                         lambda o: checked.append(o) or is_profile(o))
-    with pytest.raises(ValueError if kind == "wrong length" else SearchDefect):
-        find_f_tangle(stratum)
-    assert built == [3]
+    if kind == "wrong length":
+        with pytest.raises(ValueError):
+            find_f_tangle(stratum)
+    else:
+        with pytest.raises(SearchDefect, match="certificate"):
+            find_f_tangle(stratum)
+    assert built == [3] and checked == []
     if kind == "no common pixel":
-        bad = _bad_principal(kind, stratum, 3)
-        # no single pixel is chosen, so only is_profile can catch it
-        assert not any(s.bit_count() == 1 for s in bad.chosen)
-        assert checked == [bad]
+        # no single pixel is chosen: the missing common pixel fails it
+        assert not any(s.bit_count() == 1 for s in _bad_principal(kind, stratum, 3).chosen)
 
 
 def test_principal_levels_are_not_searched(monkeypatch, wc_quad):

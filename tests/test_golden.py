@@ -2,8 +2,9 @@
 
 The files under tests/golden/ hold `encode_report(analyze(fixture_canvas(name),
 pixel_cap=cap)[0])` for five built-in fixtures; the 25-px miniL needs
-pixel_cap=25, the others use the default cap.  A change that alters any of
-them changes the observable behaviour of the analyser.  Re-record a golden
+pixel_cap=25, the others use the default cap.  `random4x3.json` holds the
+report of `corpus.random4x3`, which `tests/test_search.py` reads.  A change
+that alters any of them changes the observable behaviour of the analyser.  Re-record a golden
 only together with an entry in CHANGES.md that states why its content had
 to change.
 """
