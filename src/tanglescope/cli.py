@@ -11,6 +11,7 @@ from .fixtures import FIXTURE_NAMES, fixture
 from .io import format_grid, load_picture
 from .render import render_mask, render_svg
 from .report import analyze, decode_report, encode_report
+from .search import SearchDefect
 
 
 def _add_picture_args(parser: argparse.ArgumentParser) -> None:
@@ -110,14 +111,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one command.  Exit code 1 is bad input (a malformed picture,
-    argument or report, or an unreadable file), reported on one stderr
-    line; 2 is a failed verification."""
+    argument or report, or an unreadable file); 2 is a failed
+    verification, a failed verdict in a report or an internal check that
+    raised `SearchDefect`.  An error is reported on one stderr line."""
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (SearchDefect, ValueError, OSError) as exc:
         print(f"tanglescope: error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, SearchDefect) else 1
 
 
 if __name__ == "__main__":

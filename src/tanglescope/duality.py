@@ -15,16 +15,17 @@ from .sepsys import (SeparationPool, Stratum, build_universe, laminar_sides,
                      star_sides, void_sides)
 
 # above this many pairs a duality report records the tree side as not
-# attempted.  Only the glyph25 bench reference, which records the flat
-# 5x4's k=1 verdict as skipped, still needs it: that tree builds and
-# verifies in well under a second
+# attempted; `verify_duality` reads it, and nothing else does.  Only the
+# glyph25 bench reference, which records the flat 5x4's k=1 verdict as
+# skipped, still needs it: that tree builds and verifies in well under a
+# second
 CHOP_TREE_PAIR_LIMIT = 40000
 
 
 def find_f_tangle(stratum: Stratum) -> Profile | None:
-    """An F-tangle of the stratum for the standard F, or None.
-
-    The checks run in this order, and the first that applies answers:
+    """An F-tangle of the stratum for the standard F, or None.  It builds
+    no chop tree and writes nothing to the pool: `verify_duality` settles
+    the levels that have a verified tree before it calls this.  Two steps:
 
     - **Heavy pixel.**  A level where some pixel p has order({p}) >= k is
       answered in closed form, with the principal orientation toward the
@@ -36,46 +37,19 @@ def find_f_tangle(stratum: Stratum) -> Profile | None:
       The answer gets the O(pairs) certificate of this argument
       (`_shares_pixel_certificate`), and one that fails it is an internal
       defect.
-    - **Chop tree.**  On a stratum of at most CHOP_TREE_PAIR_LIMIT pairs,
-      a chop tree that `verify_chop_tree` accepts proves that no F-tangle
-      exists (the easy half of the duality theorem, below).  The level is
-      listed as empty and the answer is None, with no search.  A tree
-      that fails verification is an internal defect.
-    - **Search.**  The rest run the find-one search.  Its hit is returned
-      as found: the search keeps only leaves that its own leaf check has
-      certified as F-tangles (see `search`).
-
-    `max_supported_resolution` calls this only at a level that its
-    bottom-up carving (`carve_chop_tree`) cannot settle, so a resolution
-    query settled by a carved tree builds no order table and no stratum.
-
-    The easy half.  Let T be a verified chop tree at k and suppose an
-    F-tangle t exists at k.  Every part of T has order below k, so t
-    orients it.  The two roots are the sides of one line, so t chooses one
-    of them.  Whenever t chooses the part X of a node with children c1 and
-    c2, it chooses c1 or c2: otherwise it chooses X, c1* and c2*, and
-    since c1 and c2 split X, {X, c1*, c2*} is a void 3-star, which is in F.
-    Parts shrink going down, so t chooses some leaf {p}, a single pixel,
-    which is in F too.  Either way t does not avoid F, a contradiction.
-    A one-pixel canvas has the one root {p}, the full side, which every
-    orientation chooses.
+    - **Search.**  Every other level runs the find-one search, a level
+      with a chop tree too.  Its hit is returned as found: the search
+      keeps only leaves that its own leaf check has certified as
+      F-tangles (see `search`).
     """
-    pool = stratum.pool
     k = stratum.k
-    heavy = [p for p, order in enumerate(pool.pixel_orders) if order >= k]
+    heavy = [p for p, order in enumerate(stratum.pool.pixel_orders) if order >= k]
     if heavy:
         hit = principal(stratum, heavy[0])
         if not _shares_pixel_certificate(hit):
             raise SearchDefect(f"the principal orientation toward pixel {heavy[0]} "
                                f"failed its certificate at k={k}")
         return hit
-    tree, report = (_checked_chop_tree(pool, k)
-                    if len(stratum.pairs) <= CHOP_TREE_PAIR_LIMIT else (None, None))
-    if tree is not None:
-        if not report.ok:
-            raise SearchDefect(f"the chop tree at k={k} failed verification")
-        pool._f_tangles[k] = ()
-        return None
     return find_star_avoiding_orientation(stratum)
 
 
@@ -263,18 +237,6 @@ def verify_chop_tree(tree: ChopTree, wc: WeightedCanvas,
     return ChopTreeReport(laminar, orders_below_k, leaves_biject_pixels, stars_ok)
 
 
-def _checked_chop_tree(pool: SeparationPool,
-                       k: int) -> tuple[ChopTree | None, ChopTreeReport | None]:
-    """The level's chop tree and the verifier's report on it, or (None,
-    None) where no tree exists; each is made once per pool and level."""
-    found = pool._chop_trees.get(k)
-    if found is None:
-        tree = build_chop_tree(pool.wc, k, pool)
-        report = None if tree is None else verify_chop_tree(tree, pool.wc, pool)
-        found = pool._chop_trees[k] = (tree, report)
-    return found
-
-
 # -- the dichotomy and resolution ---------------------------------------------
 
 
@@ -302,23 +264,38 @@ class DualityReport:
 
 
 def verify_duality(pool: SeparationPool, k: int) -> DualityReport:
-    """The level's F-tangle from `find_f_tangle` and its chop tree with
-    the verifier's report; by the duality theorem exactly one of the two
-    exists.  The chop-tree side is skipped above CHOP_TREE_PAIR_LIMIT
-    pairs.
+    """The level's chop tree with the verifier's report, and its F-tangle;
+    by the duality theorem exactly one of the two exists.  This is the one
+    place that builds a level's exact chop tree.
 
-    Where a tree exists, `find_f_tangle` has answered None from that
-    tree, so exclusivity there is the easy half of the duality theorem,
-    and the check that runs is the tree's verification.  Where no tree
-    exists, the F-tangle comes from the closed form or the search,
-    independently of the failed tree search.  The tree and its report are
-    built once per pool and level, whichever of the two asks first."""
+    Up to CHOP_TREE_PAIR_LIMIT pairs it builds the tree with
+    `build_chop_tree` and checks it with `verify_chop_tree`, once each.  A
+    tree that verifies answers that no F-tangle exists, by the easy half
+    of the duality theorem (below), and the level is listed as empty for
+    `profiles.regions`.  Every other level goes to `find_f_tangle`: one
+    with no tree, one above the pair limit, whose tree side is skipped,
+    and one whose tree fails verification.  That verdict is not ok, and
+    its F-tangle side is searched independently of the failed tree.
+
+    The easy half.  Let T be a verified chop tree at k and suppose an
+    F-tangle t exists at k.  Every part of T has order below k, so t
+    orients it.  The two roots are the sides of one line, so t chooses one
+    of them.  Whenever t chooses the part X of a node with children c1 and
+    c2, it chooses c1 or c2: otherwise it chooses X, c1* and c2*, and
+    since c1 and c2 split X, {X, c1*, c2*} is a void 3-star, which is in F.
+    Parts shrink going down, so t chooses some leaf {p}, a single pixel,
+    which is in F too.  Either way t does not avoid F, a contradiction.
+    A one-pixel canvas has the one root {p}, the full side, which every
+    orientation chooses."""
     stratum = pool.stratum(k)
-    tangle = find_f_tangle(stratum)
     if len(stratum.pairs) > CHOP_TREE_PAIR_LIMIT:
-        return DualityReport(k, tangle, None, None, True)
-    tree, report = _checked_chop_tree(pool, k)
-    return DualityReport(k, tangle, tree, report, False)
+        return DualityReport(k, find_f_tangle(stratum), None, None, True)
+    tree = build_chop_tree(pool.wc, k, pool)
+    report = None if tree is None else verify_chop_tree(tree, pool.wc, pool)
+    if report is not None and report.ok:
+        pool._f_tangles[k] = ()
+        return DualityReport(k, None, tree, report, False)
+    return DualityReport(k, find_f_tangle(stratum), tree, report, False)
 
 
 def induced_subcanvas(wc: WeightedCanvas, subset: int) -> WeightedCanvas:
@@ -368,10 +345,11 @@ def max_supported_resolution(wc: WeightedCanvas, subset: int | None = None,
     table, not off the carving's own sums, and a carved tree that fails
     it is an internal defect.  So a query settled by a carving reads no order
     table and builds no stratum.  Only a level that the carving cannot
-    settle builds its stratum, and `find_f_tangle` decides it, by a
+    settle builds its stratum, and `verify_duality` decides it, by a
     verified chop tree where one exists and by the search only where none
-    does.  No bound on k is needed: at k above the largest order the
-    stratum is the full universe, on which `find_f_tangle` answers None."""
+    does; a verdict that is not ok is an internal defect.  No bound on k
+    is needed: at k above the largest order the stratum is the full
+    universe, which has no F-tangle."""
     if subset is not None:
         wc = induced_subcanvas(wc, subset)
     pool = build_universe(wc, pixel_cap)
@@ -384,7 +362,10 @@ def max_supported_resolution(wc: WeightedCanvas, subset: int | None = None,
             break
         # existence is downward-closed in k (restrictions of unfocused
         # profiles are unfocused), so stop at the first failure
-        if find_f_tangle(pool.stratum(k)) is None:
+        verdict = verify_duality(pool, k)
+        if not verdict.ok:
+            raise SearchDefect(f"the duality verdict at k={k} failed")
+        if verdict.f_tangle is None:
             break
         best = k
     return best

@@ -121,7 +121,7 @@ def enumerate_profiles(stratum: Stratum) -> tuple[Profile, ...]:
 
 def f_tangles(stratum: Stratum) -> tuple[Profile, ...]:
     """The unfocused profiles of the stratum (its F-tangles), canonically
-    ordered and memoised on the pool.  A level that `find_f_tangle` has
+    ordered and memoised on the pool.  A level that `verify_duality` has
     settled by a verified chop tree is already listed as empty."""
     cache = stratum.pool._f_tangles
     if stratum.k not in cache:

@@ -4,7 +4,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict
 
-from .canvas import DEFAULT_PIXEL_CAP, WeightedCanvas
+from .canvas import _ORDER_LIMIT, DEFAULT_PIXEL_CAP, HARD_PIXEL_CAP, WeightedCanvas
 from .duality import verify_duality
 from .profiles import Profile, refines, regions, restrict
 from .sepsys import build_universe
@@ -35,7 +35,7 @@ def analyze(wc: WeightedCanvas,
     """Full analysis; returns (report, all verifications passed).
 
     The verdict sweep runs before `regions`.  Its last level K* has no
-    F-tangle, and where `find_f_tangle` settles K* by a verified chop
+    F-tangle, and where `verify_duality` settles K* by a verified chop
     tree it lists the level as empty, so `regions` reads that list
     instead of enumerating the level.  The sweep's other levels are
     answered in closed form or by a find-one search, and `regions`
@@ -119,7 +119,10 @@ def encode_report(report: dict) -> str:
 def decode_report(text: str) -> dict:
     """Parse a report, refusing one that lacks what the renderers read: the
     picture's width and height, max_order, and each tree-set line's side
-    and order."""
+    and order.  The picture must have 1 to HARD_PIXEL_CAP pixels and each
+    order must lie in 0..2^32-1, the bounds `WeightedCanvas.from_picture`
+    sets, so that a renderer never divides by zero or allocates a huge
+    canvas; a bool is no number here."""
     report = json.loads(text)
     schema = report.get("schema") if isinstance(report, dict) else None
     if schema != SCHEMA_VERSION:
@@ -128,9 +131,16 @@ def decode_report(text: str) -> dict:
     if not (isinstance(picture, dict) and isinstance(lines, list)
             and all(isinstance(line, dict) and isinstance(line.get("side"), str)
                     for line in lines)
-            and all(isinstance(v, int) for v in [picture.get("width"), picture.get("height"),
-                                                 report.get("max_order"),
-                                                 *(line.get("order") for line in lines)])):
+            and all(type(v) is int for v in [picture.get("width"), picture.get("height"),
+                                             report.get("max_order"),
+                                             *(line.get("order") for line in lines)])):
         raise ValueError("malformed report: it needs picture.width, picture.height, "
                          "max_order and a tree_set of lines with side and order")
+    width, height = picture["width"], picture["height"]
+    if not (width >= 1 and height >= 1 and width * height <= HARD_PIXEL_CAP):
+        raise ValueError(f"malformed report: a {width}x{height} picture is not "
+                         f"1 to {HARD_PIXEL_CAP} pixels")
+    if not all(0 <= order <= _ORDER_LIMIT
+               for order in [report["max_order"], *(line["order"] for line in lines)]):
+        raise ValueError(f"malformed report: an order outside 0..{_ORDER_LIMIT}")
     return report

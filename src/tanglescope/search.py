@@ -116,14 +116,17 @@ F-tangle, which it reads off the pixels' orders
 The find-one search is left only the levels where a non-principal
 F-tangle could be the answer.  `duality.find_f_tangle` answers a level
 where some pixel p has order({p}) >= k with the principal orientation
-toward p, and a level with a chop tree that `duality.verify_chop_tree`
-accepts with None; its docstring proves both, the heavy-pixel argument
-and the easy half of the duality theorem.  So the search decides only
-levels where every {p} lies in the stratum and no tree exists, which are
-exactly the levels with a non-principal F-tangle, and the strata above
-`duality.CHOP_TREE_PAIR_LIMIT` pairs, where no tree is tried.
+toward p, and searches every other level it is given, one with a chop
+tree too.  `duality.verify_duality` owns the chop tree: it builds and
+verifies a level's tree first, answers a level whose tree
+`duality.verify_chop_tree` accepts with no F-tangle, by the easy half of
+the duality theorem that its docstring proves, and calls `find_f_tangle`
+on the rest.  So on the `analyze` path the search decides only levels
+where every {p} lies in the stratum and no verified tree exists, which
+are exactly the levels with a non-principal F-tangle, and the strata
+above `duality.CHOP_TREE_PAIR_LIMIT` pairs, where no tree is tried.
 A resolution query (`duality.max_supported_resolution`) reaches
-`find_f_tangle` only at a level that its bottom-up carving
+`verify_duality` only at a level that its bottom-up carving
 (`duality.carve_chop_tree`) cannot settle; a level settled by a verified
 carved tree reads no order table and builds no stratum.
 

@@ -33,10 +33,8 @@ class SeparationPool:
         self.full_mask = wc.full_mask
         self._top = wc.npixels - 1
         # the F-tangles of level k: listed by profiles.f_tangles, or () where
-        # duality.find_f_tangle found a verified chop tree
+        # duality.verify_duality verified a chop tree
         self._f_tangles: dict[int, tuple] = {}
-        # (chop tree or None, its verifier's report or None), by k
-        self._chop_trees: dict[int, tuple] = {}
         self._strata: dict[int, Stratum] = {}
 
     # -- orders --------------------------------------------------------------

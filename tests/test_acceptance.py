@@ -114,8 +114,9 @@ def test_criterion_5_duality_dichotomy(capsys):
         wc = weighted(TWELVE_PIXEL_PICTURES[name])
         assert wc.npixels <= 12
         pool = build_universe(wc)
-        # the tangle side comes from the find-one engine on a pool of its
-        # own: find_f_tangle answers a level with a chop tree from that tree
+        # the tangle side comes from the find-one engine itself, on a pool
+        # of its own, not from verify_duality, which answers a level with
+        # a verified chop tree from that tree and searches no such level
         searched = build_universe(wc)
         chop_seen = False
         for k in range(1, pool.max_order + 2):

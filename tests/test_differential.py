@@ -25,12 +25,13 @@ def test_engines_match_oracles_on_random_pictures(wc):
     pool = build_universe(wc)
     levels = profile_levels(pool)
     # a pool with no listed level: find_f_tangle answers its principal
-    # levels in closed form, settles the levels with a chop tree by that
-    # tree and searches the others
+    # levels in closed form and searches the others, levels with a chop
+    # tree too; verify_duality, run on it after, lists the levels that a
+    # verified chop tree settles
     fresh = build_universe(wc)
     for k, profs in levels.items():
         stratum = pool.stratum(k)
-        # list the level's F-tangles, so find_f_tangle reads the list
+        # list the level's F-tangles: find_f_tangle does not read the list
         assert list(f_tangles(stratum)) == [p for p in profs if not is_focused(p)]
         chosen = [p.chosen for p in profs]
         small = len(stratum.pairs) <= _ORACLE_PAIRS
@@ -53,10 +54,16 @@ def test_engines_match_oracles_on_random_pictures(wc):
             for hit in (listed, found):
                 assert hit is None or hit.chosen in naive
             assert searched is None or searched.chosen in naive
-    # the fresh pool lists only the levels a verified chop tree settled;
-    # the tree is rebuilt and re-verified on a pool of its own
-    for k, listed in fresh._f_tangles.items():
-        assert listed == ()
+    # verify_duality lists exactly the levels whose chop tree verifies, the
+    # top one among them: a full universe with no heavy pixel has a tree.
+    # Each tree is rebuilt and re-verified on a pool of its own
+    assert not fresh._f_tangles
+    top = fresh.max_order + 1
+    verdicts = [verify_duality(fresh, k) for k in range(1, top + 1)]
+    settled = {d.k for d in verdicts if d.chop_tree is not None and d.chop_tree_report.ok}
+    assert set(fresh._f_tangles) == settled and top in settled
+    for k in settled:
+        assert fresh._f_tangles[k] == ()
         own = build_universe(wc)
         tree = build_chop_tree(wc, k, own)
         assert tree is not None and verify_chop_tree(tree, wc, own).ok

@@ -29,6 +29,7 @@ from tanglescope import (Profile, WeightedCanvas, analyze, build_chop_tree,
                          build_universe, enumerate_profiles, find_f_tangle, is_focused,
                          is_profile, max_supported_resolution, verify_chop_tree,
                          verify_duality)
+from tanglescope.cli import main
 from tanglescope.duality import ChopNode, ChopTree, carve_chop_tree, induced_subcanvas
 from tanglescope.fixtures import fixture_canvas, noisedisc_masks
 from tanglescope.profiles import f_tangles, principal
@@ -116,9 +117,9 @@ def _unprincipal_stratum(canvas, k):
 
 
 def _plant_search(monkeypatch, bad):
-    """Make the find-one search start from the planted orientation, with
-    chop trees hidden so that the level is searched; returns the engines
-    made.  A planted orientation that the engine's construction allows
+    """Make the find-one search start from the planted orientation;
+    returns the engines made.  `find_f_tangle` searches every level
+    without a heavy pixel, one with a chop tree too.  A planted orientation that the engine's construction allows
     (consistent, no single pixel) is set whole, as if forcing had skipped
     its checks, and the leaf check alone decides it; any other is decided
     through the engine's propagation, one side at a time."""
@@ -137,7 +138,6 @@ def _plant_search(monkeypatch, bad):
             return super().run(find_one)
 
     monkeypatch.setattr(search_module, "_AssignmentSearch", Planted)
-    monkeypatch.setattr(duality, "build_chop_tree", lambda wc, k, pool: None)
     return engines
 
 
@@ -171,15 +171,16 @@ def test_find_f_tangle_rejects_bad_hits(monkeypatch, kind):
 
 @pytest.mark.parametrize("kind", ["inconsistent", "non-profile", "focused-non-profile"])
 def test_find_f_tangle_rejects_bad_listed_hits(monkeypatch, kind):
-    # find_f_tangle reads no list of the level's F-tangles: a bad
-    # orientation planted in the pool's list is not returned, and the
-    # level's verified chop tree answers; planted as the search's first
-    # leaf, it is not returned either
+    # no verdict reads a list of the level's F-tangles: with a bad
+    # orientation planted in the pool's list, verify_duality answers level
+    # 4 from its verified chop tree and lists the level as empty; planted
+    # as the search's first leaf, find_f_tangle does not return it either
     stratum = _unprincipal_stratum(_stripe5x1, 4)
     bad = profile_of(stratum, _first_orientation(stratum, _BAD_HITS[kind]))
     stratum.pool._f_tangles[4] = (bad,)
-    assert find_f_tangle(stratum) is None
-    assert stratum.pool._chop_trees[4][0] is not None
+    d = verify_duality(stratum.pool, 4)
+    assert d.f_tangle is None and d.chop_tree is not None and d.ok is True
+    assert stratum.pool._f_tangles[4] == ()
     stratum = _unprincipal_stratum(_stripe5x1, 4)
     engines = _plant_search(monkeypatch, profile_of(stratum, bad.chosen))
     assert find_f_tangle(stratum) is None and len(engines) == 1
@@ -244,34 +245,71 @@ def test_principal_levels_are_not_searched(monkeypatch, wc_quad):
     assert not fresh._strata
 
 
-def test_find_f_tangle_rejects_unverified_chop_tree(monkeypatch, wc_mono):
-    # mono2x2 k=3 is settled by its chop tree; a planted tree that hangs
-    # pixel 2 as a third root fails verification (its star at 0b0111 is
-    # not void), and the level is neither searched nor listed
+def _bad_mono2x2_tree():
+    # hangs pixel 2 as a third root, so it fails verification: its star at
+    # 0b0111 is not void
     leaf = {p: ChopNode(1 << p, ()) for p in range(4)}
-    bad = ChopTree(3, (ChopNode(0b0111, (leaf[0], leaf[1])), leaf[3], leaf[2]))
-    stratum = _unprincipal_stratum(_mono2x2, 3)
-    assert not verify_chop_tree(bad, wc_mono, stratum.pool).ok
+    return ChopTree(3, (ChopNode(0b0111, (leaf[0], leaf[1])), leaf[3], leaf[2]))
 
-    def no_search(stratum):
-        raise AssertionError("a level with a chop tree reached the search")
-    monkeypatch.setattr(duality, "build_chop_tree", lambda wc, k, pool: bad)
-    monkeypatch.setattr(duality, "find_star_avoiding_orientation", no_search)
-    with pytest.raises(SearchDefect):
-        find_f_tangle(stratum)
-    assert 3 not in stratum.pool._f_tangles
+
+def test_verify_duality_fails_on_unverified_chop_tree(monkeypatch, tmp_path, wc_mono):
+    # mono2x2 k=3 is settled by its chop tree; a planted tree that fails
+    # verification gives a failed verdict, the level is searched and not
+    # listed, and analyze fails, with exit code 2 from the CLI
+    bad = _bad_mono2x2_tree()
+    pool = build_universe(wc_mono)
+    assert not verify_chop_tree(bad, wc_mono, pool).ok
+    build, searched = duality.build_chop_tree, []
+    find = duality.find_star_avoiding_orientation
+    monkeypatch.setattr(duality, "build_chop_tree",
+                        lambda wc, k, pool: bad if k == 3 else build(wc, k, pool))
+    monkeypatch.setattr(duality, "find_star_avoiding_orientation",
+                        lambda stratum: searched.append(stratum.k) or find(stratum))
+    d = verify_duality(pool, 3)
+    assert d.ok is False and d.chop_tree_report.ok is False
+    assert d.f_tangle is None and searched == [3]
+    assert 3 not in pool._f_tangles
+    report, ok = analyze(wc_mono)
+    assert ok is False and report["verified"]["duality"] is False
+    assert report["duality"]["verdicts"][-1]["chop_tree_valid"] is False
+    main(["fixtures", "mono2x2", "-o", str(tmp_path)])
+    assert main(["analyze", str(tmp_path / "mono2x2.grid")]) == 2
 
 
 def test_resolution_rejects_unverified_carved_tree(monkeypatch, wc_mono):
     # the same planted tree, carved at mono2x2's first unprincipal level:
     # the query raises instead of answering, and nothing falls through to
-    # the exact path
-    leaf = {p: ChopNode(1 << p, ()) for p in range(4)}
-    bad = ChopTree(3, (ChopNode(0b0111, (leaf[0], leaf[1])), leaf[3], leaf[2]))
+    # the exact path.  With no carving, the planted tree reaches the exact
+    # path, and its failed verdict raises too
+    bad = _bad_mono2x2_tree()
+    exact = duality.verify_duality
     monkeypatch.setattr(duality, "carve_chop_tree", lambda wc, k: bad)
-    monkeypatch.setattr(duality, "find_f_tangle", lambda stratum: pytest.fail("exact path"))
-    with pytest.raises(SearchDefect):
+    monkeypatch.setattr(duality, "verify_duality", lambda pool, k: pytest.fail("exact path"))
+    with pytest.raises(SearchDefect, match="carved"):
         max_supported_resolution(wc_mono)
+    monkeypatch.setattr(duality, "carve_chop_tree", lambda wc, k: None)
+    monkeypatch.setattr(duality, "verify_duality", exact)
+    monkeypatch.setattr(duality, "build_chop_tree", lambda wc, k, pool: bad)
+    with pytest.raises(SearchDefect, match="verdict at k=3"):
+        max_supported_resolution(wc_mono)
+
+
+@pytest.mark.parametrize("name", ["mono2x2", "quad4x4"])
+def test_find_f_tangle_builds_no_chop_tree(monkeypatch, name):
+    # verify_duality owns the chop tree: find_f_tangle answers every level,
+    # one with a tree too, by the closed form or the search, and lists none
+    wc = fixture_canvas(name)
+    top = build_universe(wc).max_order + 1
+    expected = [verify_duality(build_universe(wc), k).f_tangle is not None
+                for k in range(1, top + 1)]
+
+    def no_tree(*args):
+        raise AssertionError("find_f_tangle reached the chop tree")
+    monkeypatch.setattr(duality, "build_chop_tree", no_tree)
+    monkeypatch.setattr(duality, "verify_chop_tree", no_tree)
+    pool = build_universe(wc)
+    assert [find_f_tangle(pool.stratum(k)) is not None for k in range(1, top + 1)] == expected
+    assert not pool._f_tangles
 
 
 def _swept_resolution(wc):

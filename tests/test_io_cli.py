@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 from tanglescope import (CanvasSizeError, PictureError, analyze, decode_report,
                          encode_report, fixture, format_grid, format_pgm,
                          parse_grid, parse_pgm, render_mask, render_svg)
+from tanglescope import cli
 from tanglescope.cli import main
 from tanglescope.fixtures import fixture_canvas
+from tanglescope.search import SearchDefect
 
 
 # -- grid format --------------------------------------------------------------
@@ -290,6 +292,28 @@ def test_cli_fixture_deterministic(tmp_path):
     assert b"lcg" in fa
 
 
+def _report(width=2, height=2, max_order=2, order=1):
+    """A schema-1 report with the fields the renderers read, one line."""
+    return {"schema": 1, "picture": {"width": width, "height": height},
+            "max_order": max_order, "tree_set": [{"side": "0x1", "order": order}]}
+
+
+# bad reports by file name: the renderers would divide by zero, overflow or
+# allocate a huge canvas on the range cases, so decode_report refuses them
+_BAD_REPORTS = {
+    "report": {"schema": "tanglescope.report/0"},
+    "fieldless": {"schema": 1},
+    "listed": [],
+    "bool_width": _report(width=True),
+    "bool_order": _report(order=True),
+    "zero_height": _report(height=0),
+    "oversize": _report(6, 6),
+    "negative_max_order": _report(max_order=-1),
+    "huge_max_order": _report(max_order=10**400),
+    "huge_order": _report(order=1 << 32),
+}
+
+
 @pytest.mark.parametrize("argv", [
     ["resolution", "{grid}", "--subset", "zz"],
     ["resolution", "{grid}", "--subset", "0"],
@@ -303,15 +327,24 @@ def test_cli_fixture_deterministic(tmp_path):
     ["analyze", "{grid}", "--N", "x"],
     ["analyze"],
     ["render", "{report}", "--style", "png", "-o", "{svg}"],
+    ["render", "{bool_width}", "--style", "svg", "-o", "{svg}"],
+    ["render", "{bool_order}", "--style", "svg", "-o", "{svg}"],
+    ["render", "{zero_height}", "--style", "mask", "-o", "{svg}"],
+    ["render", "{oversize}", "--style", "mask", "-o", "{svg}"],
+    ["render", "{negative_max_order}", "--style", "svg", "-o", "{svg}"],
+    ["render", "{huge_max_order}", "--style", "svg", "-o", "{svg}"],
+    ["render", "{huge_order}", "--style", "svg", "-o", "{svg}"],
 ], ids=["subset-not-hex", "subset-empty", "subset-outside", "negative-N",
         "pixel-cap-0", "missing-input", "report-schema", "report-fields",
-        "report-not-object", "N-not-int", "no-input", "unknown-style"])
+        "report-not-object", "N-not-int", "no-input", "unknown-style",
+        "report-bool-width", "report-bool-order", "report-zero-height",
+        "report-oversize", "report-negative-max-order", "report-huge-max-order",
+        "report-huge-order"])
 def test_cli_input_errors_exit_1_on_one_line(tmp_path, capsys, argv):
     main(["fixtures", "mono2x2", "-o", str(tmp_path)])
     paths = {"grid": tmp_path / "mono2x2.grid", "missing": tmp_path / "missing.grid",
              "svg": tmp_path / "lines.svg"}
-    for name, report in [("report", {"schema": "tanglescope.report/0"}),
-                         ("fieldless", {"schema": 1}), ("listed", [])]:
+    for name, report in _BAD_REPORTS.items():
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(json.dumps(report))
     capsys.readouterr()
@@ -319,6 +352,29 @@ def test_cli_input_errors_exit_1_on_one_line(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("tanglescope: error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_render_accepts_the_report_bounds(tmp_path):
+    # the largest picture and order decode_report allows still render
+    path, svg = tmp_path / "edge.json", tmp_path / "edge.svg"
+    path.write_text(json.dumps(_report(4, 8, max_order=(1 << 32) - 1, order=0)))
+    assert main(["render", str(path), "--style", "svg", "-o", str(svg)]) == 0
+    assert main(["render", str(path), "--style", "mask", "-o", str(svg)]) == 0
+
+
+@pytest.mark.parametrize("command", ["analyze", "resolution"])
+def test_cli_internal_check_failure_exits_2_on_one_line(monkeypatch, tmp_path, capsys,
+                                                        command):
+    # a SearchDefect is a failed verification, not bad input
+    def defect(*args, **kwargs):
+        raise SearchDefect("planted internal check failure")
+    monkeypatch.setattr(cli, "analyze", defect)
+    monkeypatch.setattr(cli, "max_supported_resolution", defect)
+    main(["fixtures", "mono2x2", "-o", str(tmp_path)])
+    capsys.readouterr()
+    assert main([command, str(tmp_path / "mono2x2.grid")]) == 2
+    err = capsys.readouterr().err
+    assert err == "tanglescope: error: planted internal check failure\n"
 
 
 def test_cli_help_still_exits_0(capsys):
