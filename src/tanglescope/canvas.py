@@ -8,6 +8,7 @@ from __future__ import annotations
 import os
 from contextlib import suppress
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -182,12 +183,33 @@ class WeightedCanvas:
     def full_mask(self) -> int:
         return self.canvas.full_mask
 
-    def order(self, A: int) -> int:
-        """Sum of (N - delta) over the boundary edges of A."""
-        total = 0
+    @cached_property
+    def _cut_groups(self) -> tuple[list[int], ...]:
+        """The edges p < q of nonzero weight N - delta grouped by offset
+        q - p and weight, as [offset, weight, mask of the low endpoints p].
+        A grid joins two pixels by at most one edge, and so does a
+        subcanvas, so a mask holds each edge once."""
+        groups: dict[tuple[int, int], list[int]] = {}
         for (p, q), d in zip(self.canvas.edges, self.delta):
-            if ((A >> p) ^ (A >> q)) & 1:
-                total += self.N - d
+            if p > q:
+                p, q = q, p
+            w = self.N - d
+            if w:
+                group = groups.get((q - p, w))
+                if group is None:
+                    groups[q - p, w] = [q - p, w, 1 << p]
+                else:
+                    group[2] |= 1 << p
+        return tuple(groups.values())
+
+    def order(self, A: int) -> int:
+        """Sum of (N - delta) over the boundary edges of A, each counted
+        once.  An edge p < q is on the boundary exactly when bit p of
+        A ^ A >> (q - p) is set, so each group of `_cut_groups` adds its
+        weight times the popcount of those bits at its low endpoints."""
+        total = 0
+        for offset, w, mask in self._cut_groups:
+            total += w * ((A ^ A >> offset) & mask).bit_count()
         return total
 
     def all_orders(self) -> OrderTable:

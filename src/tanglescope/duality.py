@@ -8,7 +8,7 @@ from functools import cache
 
 import numpy as np
 
-from .canvas import DEFAULT_PIXEL_CAP, Canvas, Picture, WeightedCanvas
+from .canvas import DEFAULT_PIXEL_CAP, HARD_PIXEL_CAP, Canvas, Picture, WeightedCanvas
 from .profiles import Profile, principal
 from .search import SearchDefect, _shares_pixel_certificate, find_star_avoiding_orientation
 from .sepsys import (SeparationPool, Stratum, build_universe, laminar_sides,
@@ -64,9 +64,12 @@ class ChopNode:
     children: tuple["ChopNode", ...]   # () for leaves, 2 otherwise
 
     def walk(self):
-        yield self
-        for child in self.children:
-            yield from child.walk()
+        """This node and its descendants in preorder."""
+        return _preorder((self,))
+
+
+# the leaf of each pixel: nodes are immutable, so every carved tree shares them
+_LEAVES = tuple(ChopNode(1 << p, ()) for p in range(HARD_PIXEL_CAP))
 
 
 @dataclass(frozen=True)
@@ -78,8 +81,17 @@ class ChopTree:
     roots: tuple[ChopNode, ...]   # two halves, or one leaf for a 1-pixel canvas
 
     def nodes(self):
-        for root in self.roots:
-            yield from root.walk()
+        """Every node of the tree in preorder, root by root."""
+        return _preorder(self.roots)
+
+
+def _preorder(roots):
+    # an explicit stack, not one generator per tree level
+    stack = list(roots[::-1])
+    while stack:
+        node = stack.pop()
+        yield node
+        stack += node.children[::-1]
 
 
 def build_chop_tree(wc: WeightedCanvas, k: int,
@@ -151,38 +163,51 @@ def carve_chop_tree(wc: WeightedCanvas, k: int) -> ChopTree | None:
     the roots.  Parts that share no edge are never merged, and the greedy
     order can miss a tree that exists, so None proves nothing: the exact
     `build_chop_tree` decides such a level.  A one-pixel canvas is its
-    one leaf, as in `build_chop_tree`."""
-    nodes = {1 << p: ChopNode(1 << p, ()) for p in range(wc.npixels)}
+    one leaf, as in `build_chop_tree`.
+
+    The candidate merges are kept by union mask, each under its sort key
+    (-w, union order, union mask), and each merge takes the least key.  A
+    merge changes no other part's order or joining weight, so it drops the
+    candidates of its two halves and offers the merged part's own, and
+    every other candidate keeps its key."""
+    nodes = {leaf.part: leaf for leaf in _LEAVES[:wc.npixels]}
     order = dict.fromkeys(nodes, 0)
     joined: dict[int, dict[int, int]] = {p: {} for p in nodes}   # by part: w to each neighbour
+    N = wc.N
     for (p, q), d in zip(wc.canvas.edges, wc.delta):
-        p, q, w = 1 << p, 1 << q, wc.N - d
+        p, q, w = 1 << p, 1 << q, N - d
         order[p] += w
         order[q] += w
         joined[p][q] = joined[q][p] = joined[p].get(q, 0) + w
     if max(order.values()) >= k:
         return None
+    # by union mask: (-w, union order, union mask, lower half, upper half)
+    candidates = {}
+    for a, around in joined.items():
+        for b, w in around.items():
+            if a < b:
+                union = order[a] + order[b] - 2 * w
+                if union < k:
+                    candidates[a | b] = (-w, union, a | b, a, b)
     while len(nodes) > 2:
-        best = None
-        for a, around in joined.items():
-            for b, w in around.items():
-                if a < b:
-                    union = order[a] + order[b] - 2 * w
-                    if union < k and (best is None or (-w, union, a | b) < best[0]):
-                        best = (-w, union, a | b), a, b
-        if best is None:
+        if not candidates:
             return None
-        (_, union, merged), a, b = best
+        _, union, merged, a, b = min(candidates.values())
         order[merged] = union
         nodes[merged] = ChopNode(merged, (nodes.pop(a), nodes.pop(b)))
         around = joined[merged] = {}
         for half in (a, b):
             for c, w in joined.pop(half).items():
                 del joined[c][half]
+                candidates.pop(half | c, None)
                 if not c & merged:
                     around[c] = around.get(c, 0) + w
         for c, w in around.items():
             joined[c][merged] = w
+            grown = union + order[c] - 2 * w
+            if grown < k:
+                candidates[merged | c] = ((-w, grown, merged | c, merged, c) if merged < c
+                                          else (-w, grown, merged | c, c, merged))
     return ChopTree(k, tuple(nodes.values()))
 
 
@@ -201,39 +226,49 @@ class ChopTreeReport:
 
 def verify_chop_tree(tree: ChopTree, wc: WeightedCanvas,
                      pool: SeparationPool) -> ChopTreeReport:
-    """Independent validation of the chop-tree invariants."""
-    full = pool.full_mask
+    """Independent validation of the chop-tree invariants: the parts are
+    laminar, every part but the full set has order below k (read with
+    `pool.order_of`, or `pool.pixel_orders` for a single pixel, not taken
+    from whatever built the tree), the leaves are the single pixels, one
+    each, and every inner node splits its part into two children whose
+    star is void.  One walk over the nodes in preorder checks all but
+    laminarity, which the pairwise test checks only where the splits do
+    not imply it."""
+    full, k = pool.full_mask, tree.k
+    order_of, pixel_orders = pool.order_of, pool.pixel_orders
     nodes = list(tree.nodes())
-    parts = [n.part for n in nodes]
-
-    laminar = laminar_sides(parts, full)
-    orders_below_k = all(pool.order_of(n.part) < tree.k for n in nodes if 0 < n.part < full)
-
-    leaf_parts = [n.part for n in nodes if not n.children]
-    union = 0
-    for p in leaf_parts:
-        union |= p
-    leaves_biject_pixels = (
-        all(p.bit_count() == 1 for p in leaf_parts)
-        and union == full
-        and len(leaf_parts) == wc.npixels
-    )
-
-    def star_ok(node: ChopNode) -> bool:
-        if not node.children:
-            return node.part.bit_count() == 1   # single-pixel star
-        if len(node.children) != 2:
-            return False
-        # {part, c1*, c2*} is a void star iff c1 and c2 split part into two
-        # nonempty halves and part is not the full set (whose two halves
-        # would be one pair)
-        star = [node.part] + [c.part ^ full for c in node.children]
-        return star_sides(star, full) and void_sides(star, full)
-
-    roots_ok = (len(tree.roots) == 1 or
+    orders_below_k = single_leaves = True
+    # the two roots are the sides of one line
+    stars_ok = (len(tree.roots) == 1 or
                 (tree.roots[0].part | tree.roots[1].part == full
                  and not tree.roots[0].part & tree.roots[1].part))
-    stars_ok = roots_ok and all(star_ok(n) for n in nodes)
+    leaves = union = 0
+    for node in nodes:
+        part, children = node.part, node.children
+        if orders_below_k and 0 < part < full:
+            # a single pixel's order is the one the pool keeps for it
+            orders_below_k = (pixel_orders[part.bit_length() - 1] if part & (part - 1) == 0
+                              else order_of(part)) < k
+        if not children:   # a leaf's star is its single pixel
+            leaves += 1
+            union |= part
+            if part.bit_count() != 1:
+                single_leaves = stars_ok = False
+        elif stars_ok:
+            # {part, c1*, c2*} is a void star iff c1 and c2 split part into
+            # two nonempty halves and part is not the full set (whose two
+            # halves would be one pair)
+            stars_ok = len(children) == 2
+            if stars_ok:
+                star = [part, children[0].part ^ full, children[1].part ^ full]
+                stars_ok = star_sides(star, full) and void_sides(star, full)
+    leaves_biject_pixels = single_leaves and union == full and leaves == wc.npixels
+    # where every split checks and at most two roots split the canvas, the
+    # parts form a tree of partitions: two parts on one branch are nested,
+    # and two on branches that part at some node (or at the roots) are
+    # disjoint, so they are laminar without the pairwise test
+    laminar = ((stars_ok and len(tree.roots) <= 2)
+               or laminar_sides([node.part for node in nodes], full))
     return ChopTreeReport(laminar, orders_below_k, leaves_biject_pixels, stars_ok)
 
 
@@ -341,15 +376,17 @@ def max_supported_resolution(wc: WeightedCanvas, subset: int | None = None,
     from the edge weights; a carved tree that `verify_chop_tree` accepts
     proves that no F-tangle exists there, and the answer is k - 1.  The
     verifier reads each order through `SeparationPool.order_of`, which
-    sums the boundary (`WeightedCanvas.order`) while the canvas has no
-    table, not off the carving's own sums, and a carved tree that fails
-    it is an internal defect.  So a query settled by a carving reads no order
-    table and builds no stratum.  Only a level that the carving cannot
-    settle builds its stratum, and `verify_duality` decides it, by a
-    verified chop tree where one exists and by the search only where none
-    does; a verdict that is not ok is an internal defect.  No bound on k
-    is needed: at k above the largest order the stratum is the full
-    universe, which has no F-tangle."""
+    counts the boundary edges by the cut definition
+    (`WeightedCanvas.order`) while the canvas has no table, not off the
+    carving's own sums, and a carved tree that fails it is an internal
+    defect.  So a query settled by a carving reads no order table and
+    builds no stratum: it costs one carving, which keeps its candidate
+    merges from one merge to the next, and one verification.  Only a
+    level that the carving cannot settle builds its stratum, and
+    `verify_duality` decides it, by a verified chop tree where one exists
+    and by the search only where none does; a verdict that is not ok is
+    an internal defect.  No bound on k is needed: at k above the largest
+    order the stratum is the full universe, which has no F-tangle."""
     if subset is not None:
         wc = induced_subcanvas(wc, subset)
     pool = build_universe(wc, pixel_cap)

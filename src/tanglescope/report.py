@@ -122,7 +122,9 @@ def decode_report(text: str) -> dict:
     and order.  The picture must have 1 to HARD_PIXEL_CAP pixels and each
     order must lie in 0..2^32-1, the bounds `WeightedCanvas.from_picture`
     sets, so that a renderer never divides by zero or allocates a huge
-    canvas; a bool is no number here."""
+    canvas; a bool is no number here.  Each side must be a hex pixel set
+    in 1..2^(width*height)-2, a nonempty proper subset of the pixels, as
+    every line is: a side outside would render as no line."""
     report = json.loads(text)
     schema = report.get("schema") if isinstance(report, dict) else None
     if schema != SCHEMA_VERSION:
@@ -143,4 +145,14 @@ def decode_report(text: str) -> dict:
     if not all(0 <= order <= _ORDER_LIMIT
                for order in [report["max_order"], *(line["order"] for line in lines)]):
         raise ValueError(f"malformed report: an order outside 0..{_ORDER_LIMIT}")
+    full = (1 << width * height) - 1
+    for line in lines:
+        try:
+            side = int(line["side"], 16)
+        except ValueError:
+            raise ValueError(f"malformed report: tree-set side {line['side']!r} "
+                             f"is not hex") from None
+        if not 0 < side < full:
+            raise ValueError(f"malformed report: tree-set side {line['side']!r} is "
+                             f"outside 0x1..{full - 1:#x}")
     return report

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 
 import numpy as np
 
@@ -57,10 +58,12 @@ class SeparationPool:
 
     def order_of(self, side: int) -> int:
         """The order of a side: read off the canvas's order table once
-        that exists, and summed over the side's boundary
-        (`WeightedCanvas.order`) before, so that reading an order never
-        builds a table.  A resolution query settled by a carved chop tree
-        reads its pixel orders and its verifier's orders so, with no
+        that exists, and before that from the cut definition
+        (`WeightedCanvas.order`, a popcount per group of edges of one
+        offset and weight), so that reading an order never builds a table.
+        An empty `_order_cache` means no table yet; the edge groups are
+        cached apart from it.  A resolution query settled by a carved chop
+        tree reads its pixel orders and its verifier's orders so, with no
         table."""
         if not self.wc._order_cache:
             return self.wc.order(side)
@@ -231,12 +234,10 @@ def nested_sides(x: int, y: int, full: int) -> bool:
 
 def laminar_sides(sides, full: int) -> bool:
     """True iff every two sides are nested (`nested_sides`, inlined)."""
-    sides = list(sides)
-    for i, x in enumerate(sides):
-        for y in sides[i + 1:]:
-            meet = x & y
-            if meet != x and meet != y and meet and x | y != full:
-                return False
+    for x, y in combinations(sides, 2):
+        meet = x & y
+        if meet and meet != x and meet != y and x | y != full:
+            return False
     return True
 
 
@@ -245,11 +246,9 @@ def star_sides(sides, full: int) -> bool:
 
     x <= y* and y <= x* both reduce to x | y == full; the two orientations
     of one pair point away from each other, so a star holds no such pair."""
-    sides = list(sides)
-    for i, x in enumerate(sides):
-        for y in sides[i + 1:]:
-            if x != y and (x | y != full or x ^ y == full):
-                return False
+    for x, y in combinations(sides, 2):
+        if x != y and (x | y != full or x ^ y == full):
+            return False
     return True
 
 

@@ -20,9 +20,15 @@ engine's assignment, the standard star set F as an explicit set,
 principality, induction, equivalence of profiles and the complete
 profile levels.
 
-`carving_width` stands apart from both: the weighted carving width by a
-subset recursion, with its own edge-sum orders, against which the tests
-check the resolution and the duality verdicts.
+`cut_order`, `carving_width` and `greedy_carving` stand apart from both.
+`cut_order` is the order of a pixel set by the cut definition, one edge at
+a time, against which the tests check the package's order kernel and its
+order table.  `carving_width` is the weighted carving width by a subset
+recursion, with `cut_order`'s orders, against which the tests check the
+resolution and the duality verdicts.  `greedy_carving` is the bottom-up
+carving as it was before its candidate merges were kept between merges,
+rescanning every adjacency at each merge; `duality.carve_chop_tree` must
+return the same tree, node for node.
 """
 from __future__ import annotations
 
@@ -33,6 +39,7 @@ from itertools import combinations, product
 import numpy as np
 
 from tanglescope.canvas import WeightedCanvas
+from tanglescope.duality import ChopNode, ChopTree
 from tanglescope.profiles import (Profile, enumerate_profiles, is_focused,
                                   is_profile, restrict)
 from tanglescope.sepsys import SeparationPool, Stratum, star_sides, void_sides
@@ -321,6 +328,13 @@ def profile_levels(pool: SeparationPool) -> dict[int, tuple[Profile, ...]]:
     return levels
 
 
+def cut_order(wc: WeightedCanvas, A: int) -> int:
+    """The order of the pixel set A by the cut definition: N - delta summed
+    over the edges with exactly one endpoint in A, one edge at a time."""
+    return sum(wc.N - d for (p, q), d in zip(wc.canvas.edges, wc.delta)
+               if (A >> p & 1) != (A >> q & 1))
+
+
 def carving_width(wc: WeightedCanvas) -> int:
     """The carving width of the pixel graph under the edge weights N - delta
     (Seymour and Thomas, *Call routing and the ratcatcher*, 1994): the least
@@ -328,12 +342,9 @@ def carving_width(wc: WeightedCanvas) -> int:
     than one pixel again into two, down to single pixels, with every part
     of order at most w.  w({p}) = order({p}), and w(S) is the minimum over
     splits S = A + B of max(order(A), order(B), w(A), w(B)).  A 3^n
-    recursion over the subsets, with each order summed over the edges."""
+    recursion over the subsets, with each order from `cut_order`."""
     n = wc.npixels
-    weighted_edges = [((1 << p) | (1 << q), wc.N - d)
-                      for (p, q), d in zip(wc.canvas.edges, wc.delta)]
-    order = [sum(w for ends, w in weighted_edges if (s & ends).bit_count() == 1)
-             for s in range(1 << n)]
+    order = [cut_order(wc, s) for s in range(1 << n)]
     width = list(order)
     for s in range(1, 1 << n):
         if s & (s - 1) == 0:
@@ -349,3 +360,42 @@ def carving_width(wc: WeightedCanvas) -> int:
             a = (a - 1) & s
         width[s] = best
     return width[(1 << n) - 1]
+
+
+def greedy_carving(wc: WeightedCanvas, k: int) -> ChopTree | None:
+    """The bottom-up greedy carving of `duality.carve_chop_tree` with a full
+    rescan: each merge scans every pair of adjacent parts for the heaviest
+    joining weight w whose union has order below k, ties to the lower
+    union order, then to the lower union mask."""
+    nodes = {1 << p: ChopNode(1 << p, ()) for p in range(wc.npixels)}
+    order = dict.fromkeys(nodes, 0)
+    joined: dict[int, dict[int, int]] = {p: {} for p in nodes}   # by part: w to each neighbour
+    for (p, q), d in zip(wc.canvas.edges, wc.delta):
+        p, q, w = 1 << p, 1 << q, wc.N - d
+        order[p] += w
+        order[q] += w
+        joined[p][q] = joined[q][p] = joined[p].get(q, 0) + w
+    if max(order.values()) >= k:
+        return None
+    while len(nodes) > 2:
+        best = None
+        for a, around in joined.items():
+            for b, w in around.items():
+                if a < b:
+                    union = order[a] + order[b] - 2 * w
+                    if union < k and (best is None or (-w, union, a | b) < best[0]):
+                        best = (-w, union, a | b), a, b
+        if best is None:
+            return None
+        (_, union, merged), a, b = best
+        order[merged] = union
+        nodes[merged] = ChopNode(merged, (nodes.pop(a), nodes.pop(b)))
+        around = joined[merged] = {}
+        for half in (a, b):
+            for c, w in joined.pop(half).items():
+                del joined[c][half]
+                if not c & merged:
+                    around[c] = around.get(c, 0) + w
+        for c, w in around.items():
+            joined[c][merged] = w
+    return ChopTree(k, tuple(nodes.values()))

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from corpus import (SMALL_PICTURES, lshape3x3, one_pixel, picture, rand4x5,
                     random_weighted, weighted, white2x2)
-from oracles import full_orders
+from oracles import cut_order, full_orders
 from tanglescope import (CanvasSizeError, PictureError, WeightedCanvas, analyze,
                          attach_picture, boundary, build_grid_canvas, build_universe,
                          edge_weight, fixture, suggest_N)
@@ -114,14 +114,29 @@ def test_n_below_max_delta_rejected():
         WeightedCanvas.from_picture(fixture("mono2x2"), 0)
 
 
+@settings(deadline=None, max_examples=100)
+@given(random_weighted(max_pixels=10, max_extra_N=0),
+       st.integers(0, 3) | st.integers(4, 10**6), st.integers(0, 1023), st.booleans())
+def test_order_is_the_cut_definition(wc, extra, subset, induced):
+    # the grouped popcount kernel against the per-edge sum on every side.
+    # An induced subcanvas renumbers its pixels, so its edge offsets are
+    # irregular, and it may be disconnected; with N at the largest edge
+    # weight (extra 0) the heaviest edges weigh 0 and drop out
+    wc = WeightedCanvas.from_picture(wc.picture, wc.N + extra)
+    if induced:
+        wc = induced_subcanvas(wc, subset & wc.full_mask or wc.full_mask)
+    assert ([wc.order(a) for a in range(wc.full_mask + 1)]
+            == [cut_order(wc, a) for a in range(wc.full_mask + 1)])
+
+
 def _assert_table_matches_order(wc):
     # the factored half table, and through full_orders every subset it
-    # folds onto it
+    # folds onto it, against the cut definition
     t = wc.all_orders()
     assert len(t.block_min) * t.rows.shape[1] == 1 << (wc.npixels - 1)
     table = full_orders(wc)
     for a in range(wc.full_mask + 1):
-        assert int(table[a]) == wc.order(a)
+        assert int(table[a]) == cut_order(wc, a)
 
 
 def test_all_orders_matches_scalar_order():

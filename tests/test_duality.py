@@ -22,9 +22,9 @@ import tanglescope.search as search_module
 from corpus import (TWELVE_PIXEL_PICTURES, defect4x4, dot4x5, lshape3x3, one_pixel,
                     picture, random_weighted, weighted)
 from oracles import (ReferenceSearch, StarSetF, _consistent, all_orientations,
-                     carving_width, full_orders, is_principal, members,
-                     naive_fprime_stars, naive_tangles, orientation_of, plant,
-                     profile_of)
+                     carving_width, cut_order, full_orders, greedy_carving,
+                     is_principal, members, naive_fprime_stars, naive_tangles,
+                     orientation_of, plant, profile_of)
 from tanglescope import (Profile, WeightedCanvas, analyze, build_chop_tree,
                          build_universe, enumerate_profiles, find_f_tangle, is_focused,
                          is_profile, max_supported_resolution, verify_chop_tree,
@@ -34,7 +34,7 @@ from tanglescope.duality import ChopNode, ChopTree, carve_chop_tree, induced_sub
 from tanglescope.fixtures import fixture_canvas, noisedisc_masks
 from tanglescope.profiles import f_tangles, principal
 from tanglescope.search import SearchDefect, find_star_avoiding_orientation
-from tanglescope.sepsys import consistent_sides
+from tanglescope.sepsys import consistent_sides, laminar_sides
 
 
 def test_standard_f_membership(pool_mono):
@@ -581,6 +581,30 @@ def test_verify_chop_tree_rejects_non_void_split(wc_mono, pool_mono):
         "leaves_biject_pixels": True, "stars_ok": False}
 
 
+@settings(deadline=None, max_examples=100)
+@given(random_weighted(max_pixels=8), st.data())
+def test_verify_chop_tree_laminar_flag_is_the_pairwise_test(wc, data):
+    # the verifier runs the pairwise laminarity test only where its checked
+    # splits do not imply laminarity; on carved trees with one node's part
+    # redrawn, a third root that splits into two pixels, or the roots
+    # reversed, its flag is still the pairwise test over every part
+    full = wc.full_mask
+    tree = carve_chop_tree(wc, sum(wc.N - d for d in wc.delta) + 1)
+    pool = build_universe(wc)
+    node = data.draw(st.sampled_from(list(tree.nodes())))
+    p, q = (data.draw(st.integers(0, wc.npixels - 1)) for _ in range(2))
+    mutant = data.draw(st.sampled_from([
+        tree,
+        _replace_in_tree(tree, node, dataclasses.replace(
+            node, part=data.draw(st.integers(0, full)))),
+        dataclasses.replace(tree, roots=tree.roots + (
+            ChopNode(1 << p | 1 << q, (_leaf(p), _leaf(q))),)),
+        dataclasses.replace(tree, roots=tree.roots[::-1]),
+    ]))
+    assert verify_chop_tree(mutant, wc, pool).laminar == laminar_sides(
+        [n.part for n in mutant.nodes()], full)
+
+
 def test_chop_tree_one_pixel():
     wc = weighted(one_pixel)
     pool = build_universe(wc)
@@ -748,6 +772,33 @@ def test_carved_trees_verify_above_the_carving_width(wc, removed):
             assert tree.k == k and verify_chop_tree(tree, wc, pool).ok
             assert k > width
     assert not wc._order_cache
+
+
+def _recursive_preorder(node):
+    yield node
+    for child in node.children:
+        yield from _recursive_preorder(child)
+
+
+@settings(deadline=None, max_examples=100)
+@given(random_weighted(max_pixels=10, max_extra_N=3), st.integers(0, 1023), st.booleans())
+def test_carving_matches_the_full_rescan_greedy(wc, subset, induced):
+    # the carving keeps its candidate merges from one merge to the next;
+    # the greedy that rescanned every adjacency at each merge gives the
+    # same tree node for node, or None, at every level.  Induced
+    # subcanvases of any pixel subset are included, disconnected ones too
+    if induced:
+        wc = induced_subcanvas(wc, subset & wc.full_mask or wc.full_mask)
+    top = max(cut_order(wc, s) for s in range(wc.full_mask + 1))
+    for k in range(1, top + 2):
+        tree = carve_chop_tree(wc, k)
+        assert tree == greedy_carving(wc, k)
+        if tree is not None:
+            # the explicit-stack walks visit the nodes in recursive preorder
+            expected = [n for root in tree.roots for n in _recursive_preorder(root)]
+            assert [id(n) for n in tree.nodes()] == [id(n) for n in expected]
+            assert ([id(n) for n in tree.roots[0].walk()]
+                    == [id(n) for n in _recursive_preorder(tree.roots[0])])
 
 
 def _dot5x5():

@@ -292,10 +292,10 @@ def test_cli_fixture_deterministic(tmp_path):
     assert b"lcg" in fa
 
 
-def _report(width=2, height=2, max_order=2, order=1):
+def _report(width=2, height=2, max_order=2, order=1, side="0x1"):
     """A schema-1 report with the fields the renderers read, one line."""
     return {"schema": 1, "picture": {"width": width, "height": height},
-            "max_order": max_order, "tree_set": [{"side": "0x1", "order": order}]}
+            "max_order": max_order, "tree_set": [{"side": side, "order": order}]}
 
 
 # bad reports by file name: the renderers would divide by zero, overflow or
@@ -311,6 +311,9 @@ _BAD_REPORTS = {
     "negative_max_order": _report(max_order=-1),
     "huge_max_order": _report(max_order=10**400),
     "huge_order": _report(order=1 << 32),
+    "negative_side": _report(side="-0x1"),
+    "side_outside": _report(side="0xff0"),
+    "side_not_hex": _report(side="0xzz"),
 }
 
 
@@ -334,12 +337,16 @@ _BAD_REPORTS = {
     ["render", "{negative_max_order}", "--style", "svg", "-o", "{svg}"],
     ["render", "{huge_max_order}", "--style", "svg", "-o", "{svg}"],
     ["render", "{huge_order}", "--style", "svg", "-o", "{svg}"],
+    ["render", "{negative_side}", "--style", "svg", "-o", "{svg}"],
+    ["render", "{side_outside}", "--style", "mask", "-o", "{svg}"],
+    ["render", "{side_not_hex}", "--style", "svg", "-o", "{svg}"],
 ], ids=["subset-not-hex", "subset-empty", "subset-outside", "negative-N",
         "pixel-cap-0", "missing-input", "report-schema", "report-fields",
         "report-not-object", "N-not-int", "no-input", "unknown-style",
         "report-bool-width", "report-bool-order", "report-zero-height",
         "report-oversize", "report-negative-max-order", "report-huge-max-order",
-        "report-huge-order"])
+        "report-huge-order", "report-negative-side", "report-side-outside",
+        "report-side-not-hex"])
 def test_cli_input_errors_exit_1_on_one_line(tmp_path, capsys, argv):
     main(["fixtures", "mono2x2", "-o", str(tmp_path)])
     paths = {"grid": tmp_path / "mono2x2.grid", "missing": tmp_path / "missing.grid",
